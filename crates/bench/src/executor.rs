@@ -28,10 +28,9 @@
 //! in turn is byte-identical to any `--jobs N` by the argument above.
 
 use crate::harness::{Manager, Profile, RunPolicy};
-use hemu_core::{Experiment, RunArtifacts};
+use hemu_core::{Experiment, Roster, RunArtifacts};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_obs::{Reporter, Tracer};
-use hemu_tenant::{ConsolidationRun, Mix};
 use hemu_types::{AccessPath, HemuError, OsPagingConfig, SubmitMode};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -45,36 +44,21 @@ use std::time::Instant;
 /// under this.
 pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
-/// A multi-tenant payload attached to a [`JobSpec`]: when present, the job
-/// runs a [`ConsolidationRun`] of `tenants` workloads from `mix` instead of
-/// a single-workload [`Experiment`] (whose `spec` field is then ignored).
-#[derive(Debug, Clone, Copy)]
-pub struct ConsolidationJob {
-    /// Workload mix tenants are drawn from.
-    pub mix: Mix,
-    /// Consolidation density (tenant count).
-    pub tenants: usize,
-    /// Scheduler slice length in workload steps.
-    pub slice: u64,
-}
-
 /// One experiment run awaiting execution, fully described by value so a
 /// worker thread needs nothing from the harness.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The memoization key (`workload|manager|instances|profile`, or
-    /// `mix@tenants|manager|sliceN|profile` for consolidated jobs).
+    /// `mix@tenants|manager|sliceN|profile` for tenant rosters).
     pub key: String,
-    /// Workload to run (a roster placeholder for consolidated jobs).
-    pub spec: hemu_workloads::WorkloadSpec,
+    /// Who runs: identical instances of one workload, or tenants of a mix.
+    pub roster: Roster,
+    /// Scheduler slice length in workload steps.
+    pub slice: u64,
     /// Who places pages: a collector or an OS paging policy.
     pub manager: Manager,
-    /// Co-running instance count (the tenant count for consolidated jobs).
-    pub instances: usize,
     /// Machine profile.
     pub profile: Profile,
-    /// Multi-tenant payload; `None` runs a plain experiment.
-    pub consolidation: Option<ConsolidationJob>,
 }
 
 /// The outcome of executing one job, parked in staging until the run is
@@ -136,8 +120,8 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> HemuError {
 /// (when the key matches) the fault plan reseeded for this attempt so a
 /// retry does not deterministically re-fail.
 fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
-    let mut e = Experiment::new(job.spec)
-        .instances(job.instances)
+    let mut e = Experiment::with_roster(job.roster)
+        .slice(job.slice)
         .profile(job.profile.machine())
         .access_path(ctx.access_path)
         .intra_threads(ctx.intra_threads)
@@ -166,59 +150,22 @@ fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
     e
 }
 
-/// [`configure`] for consolidated jobs: the same knobs, applied to a
-/// [`ConsolidationRun`] instead of an [`Experiment`].
-fn configure_consolidation(
-    ctx: &ExecCtx,
-    job: &JobSpec,
-    c: &ConsolidationJob,
-    attempt: u32,
-) -> ConsolidationRun {
-    let mut r = ConsolidationRun::new(c.mix, c.tenants)
-        .slice(c.slice)
-        .profile(job.profile.machine())
-        .access_path(ctx.access_path)
-        .intra_threads(ctx.intra_threads)
-        .submit_mode(ctx.submit_mode);
-    if ctx.want_profile {
-        r = r.profiling();
-    }
-    match job.manager {
-        Manager::Gc(collector) => r = r.collector(collector),
-        Manager::Os(policy) => {
-            let mut cfg = ctx.os_tuning;
-            cfg.policy = policy;
-            r = r.os_paging(cfg);
-        }
-    }
-    if let Some(cfg) = ctx.endurance {
-        r = r.endurance(cfg);
-    }
-    if let Some(plan) = &ctx.fault_plan {
-        if plan.applies_to(&job.key) {
-            r = r.faults(plan.for_attempt(attempt));
-        }
-    }
-    r
-}
-
 /// Runs one attempt with panic isolation and, when the policy sets a
 /// deadline, a watchdog: the run executes on a helper thread and an
 /// expired deadline abandons it (the thread is detached; the Machine it
 /// owns is dropped when the attempt eventually unwinds or finishes).
-/// Generic over the run entry point so single-workload experiments and
-/// consolidated runs share the exact same guard machinery.
-fn run_guarded<F>(policy: &RunPolicy, want_trace: bool, run: F) -> Result<RunArtifacts, HemuError>
-where
-    F: FnOnce(Tracer) -> Result<RunArtifacts, HemuError> + Send + 'static,
-{
+fn run_guarded(
+    policy: &RunPolicy,
+    want_trace: bool,
+    experiment: Experiment,
+) -> Result<RunArtifacts, HemuError> {
     let body = move || {
         let tracer = if want_trace {
             Tracer::bounded(TRACE_CAPACITY)
         } else {
             Tracer::disabled()
         };
-        run(tracer)
+        experiment.run_traced(tracer)
     };
     match policy.deadline {
         None => panic::catch_unwind(AssertUnwindSafe(body))
@@ -265,19 +212,7 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
     let t0 = Instant::now();
     let mut attempt = 1u32;
     loop {
-        let guarded = match &job.consolidation {
-            Some(c) => {
-                let run = configure_consolidation(ctx, job, c, attempt);
-                run_guarded(&ctx.policy, ctx.want_trace, move |t| run.run_traced(t))
-            }
-            None => {
-                let experiment = configure(ctx, job, attempt);
-                run_guarded(&ctx.policy, ctx.want_trace, move |t| {
-                    experiment.run_traced(t)
-                })
-            }
-        };
-        match guarded {
+        match run_guarded(&ctx.policy, ctx.want_trace, configure(ctx, job, attempt)) {
             Ok(ok) => {
                 ctx.reporter.finish(&job.key, &format!("done {}", job.key));
                 return StagedRun {
@@ -496,11 +431,10 @@ mod tests {
         keys.iter()
             .map(|k| JobSpec {
                 key: (*k).to_string(),
-                spec,
+                roster: Roster::Instances(spec, 1),
+                slice: 1,
                 manager: Manager::Gc(hemu_heap::CollectorKind::PcmOnly),
-                instances: 1,
                 profile: Profile::Emulation,
-                consolidation: None,
             })
             .collect()
     }

@@ -904,7 +904,7 @@ pub fn smoke(h: &mut Harness) -> Result<String> {
 /// partially failed sweep renders `FAIL` rows.
 pub fn consolidation(
     h: &mut Harness,
-    mix: hemu_tenant::Mix,
+    mix: hemu_workloads::Mix,
     slice: u64,
     max_tenants: usize,
 ) -> Result<String> {

@@ -1,7 +1,7 @@
 //! The caching, fault-tolerant experiment harness.
 
 use crate::executor::{self, ExecCtx, JobSpec, StagedRun};
-use hemu_core::{restore_run_report, PageWear, RunReport};
+use hemu_core::{restore_run_report, PageWear, Roster, RunReport};
 use hemu_fault::{ChaosKill, EnduranceConfig, FaultPlan, CHAOS_EXIT_CODE};
 use hemu_heap::CollectorKind;
 use hemu_machine::MachineProfile;
@@ -9,7 +9,7 @@ use hemu_obs::journal::{read_journal, JournalReadError, JournalRecord, JournalWr
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{fnv1a64, hash_hex, to_json_lines, write_atomic_str, Csv, Reporter, Timeline};
 use hemu_types::{AccessPath, HemuError, OsPagingConfig, OsPolicy, Result, SubmitMode};
-use hemu_workloads::{spec, DatasetSize, Language, WorkloadSpec};
+use hemu_workloads::{spec, DatasetSize, Language, Mix, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -489,7 +489,51 @@ impl Harness {
         profile: Profile,
     ) -> Result<RunReport> {
         let manager = manager.into();
-        let key = format!("{spec}|{}|{instances}|{profile:?}", manager.name());
+        self.demand(JobSpec {
+            key: format!("{spec}|{}|{instances}|{profile:?}", manager.name()),
+            roster: Roster::Instances(spec, instances),
+            slice: 1,
+            manager,
+            profile,
+        })
+    }
+
+    /// Runs (or fetches) one multi-tenant consolidation: `tenants`
+    /// workloads from `mix`, slice-scheduled onto the profile's hardware
+    /// contexts. Rides the exact same memoization, planning, staging,
+    /// journaling, and export machinery as [`Harness::run`] — the run key
+    /// (`mix@tenants|manager|sliceN|profile`) doubles as the progress
+    /// label, so consolidated runs report as `mixed@16`-style entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns the run's terminal error, exactly like [`Harness::run`].
+    pub fn run_consolidated(
+        &mut self,
+        mix: Mix,
+        tenants: usize,
+        slice: u64,
+        manager: impl Into<Manager>,
+        profile: Profile,
+    ) -> Result<RunReport> {
+        let manager = manager.into();
+        self.demand(JobSpec {
+            key: format!(
+                "{mix}@{tenants}|{}|slice{slice}|{profile:?}",
+                manager.name()
+            ),
+            roster: Roster::Tenants(mix, tenants),
+            slice,
+            manager,
+            profile,
+        })
+    }
+
+    /// The body behind [`Harness::run`] and [`Harness::run_consolidated`]:
+    /// memo lookup, then (planning) enqueue, (real pass) commit a restored
+    /// or staged result, or inline execution.
+    fn demand(&mut self, job: JobSpec) -> Result<RunReport> {
+        let key = job.key.clone();
         if let Some(r) = self.cache.get(&key) {
             return Ok(r.clone());
         }
@@ -510,14 +554,7 @@ impl Harness {
                 };
             }
             if self.pending_set.insert(key.clone()) {
-                self.pending.push(JobSpec {
-                    key: key.clone(),
-                    spec,
-                    manager,
-                    instances,
-                    profile,
-                    consolidation: None,
-                });
+                self.pending.push(job);
             }
             return Err(HemuError::Deferred { key });
         }
@@ -529,94 +566,7 @@ impl Harness {
         }
         // Inline execution: the sequential path (and the fallback should a
         // planned sweep demand a run no planning pass discovered).
-        let ctx = self.exec_ctx();
-        let job = JobSpec {
-            key: key.clone(),
-            spec,
-            manager,
-            instances,
-            profile,
-            consolidation: None,
-        };
-        let sr = executor::run_job(&job, &ctx);
-        self.commit(key, sr)
-    }
-
-    /// Runs (or fetches) one multi-tenant consolidation: `tenants`
-    /// workloads from `mix`, slice-scheduled onto the profile's hardware
-    /// contexts. Rides the exact same memoization, planning, staging,
-    /// journaling, and export machinery as [`Harness::run`] — the run key
-    /// (`mix@tenants|manager|sliceN|profile`) doubles as the progress
-    /// label, so consolidated runs report as `mixed@16`-style entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the run's terminal error, exactly like [`Harness::run`].
-    pub fn run_consolidated(
-        &mut self,
-        mix: hemu_tenant::Mix,
-        tenants: usize,
-        slice: u64,
-        manager: impl Into<Manager>,
-        profile: Profile,
-    ) -> Result<RunReport> {
-        let manager = manager.into();
-        let key = format!(
-            "{mix}@{tenants}|{}|slice{slice}|{profile:?}",
-            manager.name()
-        );
-        if let Some(r) = self.cache.get(&key) {
-            return Ok(r.clone());
-        }
-        if let Some(e) = self.failed.get(&key) {
-            return Err(e.clone());
-        }
-        // The spec field is a roster placeholder: consolidated jobs build
-        // their workloads from the mix, never from it.
-        let spec = WorkloadSpec::by_name(mix.roster()[0]).expect("mix rosters resolve");
-        let consolidation = Some(crate::executor::ConsolidationJob {
-            mix,
-            tenants,
-            slice,
-        });
-        if self.planning {
-            if let Some(rr) = self.restored.get(&key) {
-                return Ok(rr.report.clone());
-            }
-            if let Some(sr) = self.staged.get(&key) {
-                return match &sr.outcome {
-                    Ok(arts) => Ok(arts.report.clone()),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-            if self.pending_set.insert(key.clone()) {
-                self.pending.push(JobSpec {
-                    key: key.clone(),
-                    spec,
-                    manager,
-                    instances: tenants,
-                    profile,
-                    consolidation,
-                });
-            }
-            return Err(HemuError::Deferred { key });
-        }
-        if let Some(rr) = self.restored.remove(&key) {
-            return self.commit_restored(key, rr);
-        }
-        if let Some(sr) = self.staged.remove(&key) {
-            return self.commit(key, sr);
-        }
-        let ctx = self.exec_ctx();
-        let job = JobSpec {
-            key: key.clone(),
-            spec,
-            manager,
-            instances: tenants,
-            profile,
-            consolidation,
-        };
-        let sr = executor::run_job(&job, &ctx);
+        let sr = executor::run_job(&job, &self.exec_ctx());
         self.commit(key, sr)
     }
 
@@ -624,7 +574,7 @@ impl Harness {
     /// `None` so density sweeps degrade to partial figures.
     pub fn run_consolidated_opt(
         &mut self,
-        mix: hemu_tenant::Mix,
+        mix: Mix,
         tenants: usize,
         slice: u64,
         manager: impl Into<Manager>,

@@ -14,5 +14,5 @@ pub mod fmt;
 pub mod harness;
 pub mod perf;
 
-pub use executor::{ConsolidationJob, ExecCtx, JobSpec, StagedRun};
+pub use executor::{ExecCtx, JobSpec, StagedRun};
 pub use harness::{Harness, Manager, Profile, RunPolicy, RunRecord, RunStatus, Scale};

@@ -218,7 +218,7 @@ pub fn bench_sweep(
             }
         }
         let _ = h.run_consolidated_opt(
-            hemu_tenant::Mix::Dacapo,
+            hemu_workloads::Mix::Dacapo,
             SWEEP_TENANTS,
             64,
             CollectorKind::PcmOnly,

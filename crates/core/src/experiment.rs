@@ -1,7 +1,8 @@
-//! Experiment configuration and the multiprogrammed runner.
+//! Experiment configuration and the one runner: a roster of workloads
+//! slice-scheduled onto one shared machine.
 
 use crate::monitor::WriteRateMonitor;
-use crate::report::{PageWear, ProvenanceSummary, RunReport};
+use crate::report::{ConsolidationSummary, PageWear, ProvenanceSummary, RunReport, TenantShare};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_heap::chunks::ChunkPolicy;
 use hemu_heap::{CollectorKind, GcStats, ManagedHeap};
@@ -13,7 +14,7 @@ use hemu_types::{
     AccessPath, ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, SubmitMode,
     WriteCause, CACHE_LINE, PAGE_SIZE,
 };
-use hemu_workloads::{Language, Memory, StepResult, Workload, WorkloadSpec};
+use hemu_workloads::{Language, Memory, Mix, StepResult, TenantSpec, Workload, WorkloadSpec};
 
 /// Everything one profiled run produces beyond the report: the event
 /// trace, the profiler's span records (virtual-time GC phases, OS epochs
@@ -37,16 +38,42 @@ pub struct RunArtifacts {
     pub elapsed: hemu_types::Cycles,
 }
 
-/// A configured experiment: workload × collector × instances × machine.
+/// The processes an experiment co-schedules on one machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Roster {
+    /// `n` identical instances of one workload at the experiment's seed,
+    /// one hardware context each — the paper's multiprogramming (Fig. 4).
+    Instances(WorkloadSpec, usize),
+    /// `n` tenants drawn round-robin from a [`Mix`], tenant `i` at seed
+    /// `seed + i`. Tenant `i` runs on context `i % contexts`, so densities
+    /// past the context count share contexts the way consolidated VMs
+    /// share cores. Every controller write is attributed to its tenant and
+    /// the report carries a [`ConsolidationSummary`].
+    Tenants(Mix, usize),
+}
+
+impl Roster {
+    /// The roster's entries, in context-assignment order.
+    fn entries(&self, seed: u64) -> Result<Vec<TenantSpec>> {
+        match *self {
+            Roster::Instances(workload, n) => {
+                Ok((0..n).map(|id| TenantSpec { id, workload, seed }).collect())
+            }
+            Roster::Tenants(mix, n) => mix.tenant_specs(n, seed),
+        }
+    }
+}
+
+/// A configured experiment: roster × collector × machine.
 ///
 /// Built with a fluent API and executed with [`Experiment::run`], which
 /// follows the paper's measurement methodology (replay compilation:
 /// warm-up iteration, barrier, measured iteration; §IV).
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    spec: WorkloadSpec,
+    roster: Roster,
+    slice: u64,
     collector: CollectorKind,
-    instances: usize,
     profile: MachineProfile,
     seed: u64,
     chunk_policy: ChunkPolicy,
@@ -67,10 +94,20 @@ impl Experiment {
     /// Creates an experiment with the paper's defaults: one instance,
     /// PCM-Only collector, the emulation machine profile.
     pub fn new(spec: WorkloadSpec) -> Self {
+        Experiment::with_roster(Roster::Instances(spec, 1))
+    }
+
+    /// Creates an experiment over `roster` with the paper's defaults. The
+    /// scheduler slice starts at 1 step for instances (fine-grained LLC
+    /// interleaving) and 64 steps for tenants (consolidated time slices).
+    pub fn with_roster(roster: Roster) -> Self {
         Experiment {
-            spec,
+            roster,
+            slice: match roster {
+                Roster::Instances(..) => 1,
+                Roster::Tenants(..) => 64,
+            },
             collector: CollectorKind::PcmOnly,
-            instances: 1,
             profile: MachineProfile::emulation(),
             seed: 42,
             chunk_policy: ChunkPolicy::TwoLists,
@@ -175,9 +212,21 @@ impl Experiment {
         self
     }
 
-    /// Sets the number of co-running instances (multiprogramming).
-    pub fn instances(mut self, instances: usize) -> Self {
-        self.instances = instances;
+    /// Sets the roster size: the number of co-running instances
+    /// (multiprogramming), or of tenants for a [`Roster::Tenants`] roster.
+    pub fn instances(mut self, n: usize) -> Self {
+        self.roster = match self.roster {
+            Roster::Instances(spec, _) => Roster::Instances(spec, n),
+            Roster::Tenants(mix, _) => Roster::Tenants(mix, n),
+        };
+        self
+    }
+
+    /// Sets the scheduler slice length in workload steps (clamped to at
+    /// least 1). Slice boundaries are semantic flush points: deferred
+    /// submissions drain before the next entry runs.
+    pub fn slice(mut self, steps: u64) -> Self {
+        self.slice = steps.max(1);
         self
     }
 
@@ -187,7 +236,7 @@ impl Experiment {
         self
     }
 
-    /// Sets the random seed.
+    /// Sets the random seed (the base seed of a tenant roster).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -217,10 +266,13 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] for inconsistent
-    /// configurations (zero instances, more instances than hardware
-    /// contexts, or a C++ workload with a hybrid collector — the paper
-    /// evaluates the C++ implementations on the PCM-Only reference
-    /// system), and propagates heap or machine exhaustion.
+    /// configurations (an empty roster, more instances than hardware
+    /// contexts, more than 255 tenants — tenant identity must fit the
+    /// packed submit metadata — a monitor interval that is not a positive
+    /// number, a C++ workload with a hybrid collector — the paper
+    /// evaluates the C++ implementations on the PCM-Only reference system
+    /// — or OS paging with a write-rationing collector), and propagates
+    /// heap or machine exhaustion.
     pub fn run(&self) -> Result<RunReport> {
         self.run_traced(Tracer::disabled()).map(|a| a.report)
     }
@@ -252,6 +304,49 @@ impl Experiment {
             .map(|a| (a.report, a.trace))
     }
 
+    /// Checks the configuration and expands the roster into its entries.
+    fn validate(&self) -> Result<Vec<TenantSpec>> {
+        let invalid = |msg: String| Err(HemuError::InvalidConfig(msg));
+        match self.roster {
+            Roster::Instances(_, 0) => return invalid("need at least one instance".into()),
+            Roster::Tenants(_, 0) => return invalid("need at least one tenant".into()),
+            Roster::Instances(_, n) if n > self.profile.contexts => {
+                return invalid(format!(
+                    "{n} instances exceed the profile's {} hardware contexts",
+                    self.profile.contexts
+                ))
+            }
+            // Process and context ids ride in the packed submit metadata
+            // as single bytes; 255 tenants is far past any useful density.
+            Roster::Tenants(_, n) if n > 255 => {
+                return invalid(format!(
+                    "{n} tenants exceed the 255-tenant attribution limit"
+                ))
+            }
+            _ => {}
+        }
+        if !(self.monitor_interval.is_finite() && self.monitor_interval > 0.0) {
+            return invalid(format!(
+                "the monitor interval must be a positive number of seconds, got {}",
+                self.monitor_interval
+            ));
+        }
+        let entries = self.roster.entries(self.seed)?;
+        if self.collector != CollectorKind::PcmOnly {
+            if entries.iter().any(|e| e.workload.language == Language::Cpp) {
+                return invalid("C++ workloads run on the PCM-Only reference system".into());
+            }
+            if self.os.is_some() {
+                return invalid(
+                    "OS-managed placement replaces write-rationing: use the \
+                     PCM-Only collector with an OS policy"
+                        .into(),
+                );
+            }
+        }
+        Ok(entries)
+    }
+
     /// Runs the experiment with an explicit tracer and returns the full
     /// artifact bundle — the general form behind [`Experiment::run`],
     /// [`Experiment::run_full`] and [`Experiment::run_with_trace`], for
@@ -262,29 +357,11 @@ impl Experiment {
     ///
     /// Same conditions as [`Experiment::run`].
     pub fn run_traced(&self, tracer: Tracer) -> Result<RunArtifacts> {
-        if self.instances == 0 {
-            return Err(HemuError::InvalidConfig(
-                "need at least one instance".into(),
-            ));
-        }
-        if self.instances > self.profile.contexts {
-            return Err(HemuError::InvalidConfig(format!(
-                "{} instances exceed the profile's {} hardware contexts",
-                self.instances, self.profile.contexts
-            )));
-        }
-        if self.spec.language == Language::Cpp && self.collector != CollectorKind::PcmOnly {
-            return Err(HemuError::InvalidConfig(
-                "C++ workloads run on the PCM-Only reference system".into(),
-            ));
-        }
-        if self.os.is_some() && self.collector != CollectorKind::PcmOnly {
-            return Err(HemuError::InvalidConfig(
-                "OS-managed placement replaces write-rationing: use the \
-                 PCM-Only collector with an OS policy"
-                    .into(),
-            ));
-        }
+        let entries = self.validate()?;
+        let mix = match self.roster {
+            Roster::Tenants(mix, _) => Some(mix),
+            Roster::Instances(..) => None,
+        };
 
         let mut machine = Machine::new(self.profile);
         machine.set_access_path(self.access_path);
@@ -293,6 +370,11 @@ impl Experiment {
         // The OS page manager installs before anything touches memory, so
         // even heap metadata is placed (and sampled) under its policy.
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
+        // Tenancy goes in before any allocation so even the first heap
+        // metadata fault is owned by its tenant.
+        if mix.is_some() {
+            machine.enable_tenancy(entries.len());
+        }
         if self.track_wear || self.profiling {
             machine.enable_wear_tracking();
         }
@@ -305,74 +387,90 @@ impl Experiment {
         if let Some(plan) = &self.faults {
             machine.install_faults(plan.clone());
         }
-        let mut instances: Vec<(Box<dyn Workload>, Memory)> = Vec::new();
-        for i in 0..self.instances {
-            let workload = self.spec.instantiate(self.seed);
-            let ctx = CtxId(i % machine.contexts());
-            let mem = match self.spec.language {
-                Language::Java => {
-                    let nursery = self.nursery_override.unwrap_or(workload.base_nursery());
-                    let cfg = self.collector.config(nursery, workload.heap_size());
-                    let proc = machine.add_process(cfg.young_socket());
-                    if let Some(os) = &os_mgr {
-                        os.attach_process(&mut machine, proc);
-                    }
-                    Memory::managed(ManagedHeap::with_chunk_policy(
-                        &mut machine,
-                        proc,
-                        ctx,
-                        cfg,
-                        self.chunk_policy,
-                    )?)
-                }
-                Language::Cpp => {
-                    let proc = machine.add_process(SocketId::PCM);
-                    if let Some(os) = &os_mgr {
-                        os.attach_process(&mut machine, proc);
-                    }
-                    Memory::native(NativeHeap::new(&mut machine, proc, ctx, SocketId::PCM))
-                }
+        let mut running: Vec<(Box<dyn Workload>, Memory)> = Vec::with_capacity(entries.len());
+        let mut procs = Vec::with_capacity(entries.len());
+        for entry in &entries {
+            let workload = entry.workload.instantiate(entry.seed);
+            let ctx = CtxId(entry.id % machine.contexts());
+            let gc_config = (entry.workload.language == Language::Java).then(|| {
+                let nursery = self.nursery_override.unwrap_or(workload.base_nursery());
+                self.collector.config(nursery, workload.heap_size())
+            });
+            let proc = machine.add_process(
+                gc_config
+                    .as_ref()
+                    .map_or(SocketId::PCM, |c| c.young_socket()),
+            );
+            if mix.is_some() {
+                machine.set_proc_tenant(proc, entry.id as u16);
+            }
+            if let Some(os) = &os_mgr {
+                os.attach_process(&mut machine, proc);
+            }
+            let mem = match gc_config {
+                Some(cfg) => Memory::managed(ManagedHeap::with_chunk_policy(
+                    &mut machine,
+                    proc,
+                    ctx,
+                    cfg,
+                    self.chunk_policy,
+                )?),
+                None => Memory::native(NativeHeap::new(&mut machine, proc, ctx, SocketId::PCM)),
             };
-            instances.push((workload, mem));
+            procs.push(proc);
+            running.push((workload, mem));
         }
 
         // Warm-up iteration (replay compilation's compile iteration). The
         // OS manager is polled here too, so hot pages migrate toward their
         // steady-state placement before measurement starts.
         if self.warmup {
-            run_iteration(&mut machine, &mut instances, None, os_mgr.as_mut())?;
-            // All instances synchronize at a barrier and start the second
+            run_slices(
+                &mut machine,
+                &mut running,
+                self.slice,
+                None,
+                os_mgr.as_mut(),
+            )?;
+            // All entries synchronize at a barrier and start the second
             // iteration at the same time (§IV).
             machine.barrier();
-            for (w, _) in &mut instances {
+            for (w, _) in &mut running {
                 w.start_iteration();
             }
         }
 
-        // Snapshot per-instance stats, then measure the steady iteration.
+        // Snapshot per-entry stats, then measure the steady iteration.
         // The tracer goes in only now, so the trace covers exactly the
-        // measured iteration (metrics are reset at the same point).
+        // measured iteration. Controller counters, clocks, metrics and the
+        // tenancy write counts reset at the same point, while frame
+        // ownership survives: the entries keep their memory.
         machine.sync_submissions()?;
         machine.set_tracer(tracer);
         machine.start_measured_iteration();
-        let gc_before: Vec<Option<GcStats>> = instances
+        let gc_before: Vec<GcStats> = running
             .iter()
-            .map(|(_, m)| m.gc_stats().copied())
+            .map(|(_, m)| m.gc_stats().copied().unwrap_or_default())
             .collect();
-        let native_before: Vec<Option<NativeStats>> = instances
+        let native_before: Vec<NativeStats> = running
             .iter()
-            .map(|(_, m)| m.native_stats().copied())
+            .map(|(_, m)| m.native_stats().copied().unwrap_or_default())
             .collect();
-        let alloc_before: u64 = instances.iter().map(|(_, m)| m.allocated_bytes()).sum();
+        let alloc_before: Vec<u64> = running.iter().map(|(_, m)| m.allocated_bytes()).collect();
+        let faults_before: Vec<u64> = procs
+            .iter()
+            .map(|&p| machine.address_space(p).fault_count())
+            .collect();
 
         let mut monitor = WriteRateMonitor::new(self.monitor_interval);
         // The measured iteration is the root profiler span; clocks were
         // just reset, so it opens at virtual zero.
         let spans = machine.spans();
         spans.begin("iteration", "run", hemu_types::Cycles::ZERO);
-        run_iteration(
+        run_slices(
             &mut machine,
-            &mut instances,
+            &mut running,
+            self.slice,
             Some(&mut monitor),
             os_mgr.as_mut(),
         )?;
@@ -385,18 +483,81 @@ impl Experiment {
         // set to this iteration.
         monitor.finish(&machine);
 
-        // Aggregate.
-        let elapsed = machine.elapsed_seconds();
-        let pcm_writes = machine.socket_writes(SocketId::PCM);
-        let gc = aggregate_gc(&instances, &gc_before);
-        let native = aggregate_native(&instances, &native_before);
-        let allocated = instances
+        // Per-entry deltas over the measured iteration.
+        let gc_deltas: Vec<Option<GcStats>> = running
             .iter()
-            .map(|(_, m)| m.allocated_bytes())
-            .sum::<u64>()
-            - alloc_before;
+            .zip(&gc_before)
+            .map(|((_, m), then)| m.gc_stats().map(|now| diff_gc(now, then)))
+            .collect();
+        let alloc_deltas: Vec<u64> = running
+            .iter()
+            .zip(&alloc_before)
+            .map(|((_, m), then)| m.allocated_bytes() - then)
+            .collect();
+        let gc = gc_deltas
+            .iter()
+            .flatten()
+            .fold(None, |total: Option<GcStats>, d| {
+                Some(total.map_or(*d, |t| add_gc(&t, d)))
+            });
+        let native = aggregate_native(&running, &native_before);
+
+        let consolidation = mix.map(|mix| {
+            let shares: Vec<TenantShare> = entries
+                .iter()
+                .map(|entry| {
+                    let i = entry.id;
+                    let gc = gc_deltas[i].unwrap_or_default();
+                    let (pcm, dram) = machine
+                        .tenancy()
+                        .map_or((0, 0), |t| (t.pcm_lines(i), t.dram_lines(i)));
+                    TenantShare {
+                        id: i,
+                        workload: format!("{}", entry.workload),
+                        pcm_write_lines: pcm,
+                        dram_write_lines: dram,
+                        minor_gcs: gc.minor_gcs,
+                        full_gcs: gc.full_gcs,
+                        pause_cycles: gc.pause_cycles,
+                        allocated_bytes: alloc_deltas[i],
+                        page_faults: machine.address_space(procs[i]).fault_count()
+                            - faults_before[i],
+                    }
+                })
+                .collect();
+            // The per-tenant GC/OS namespaces land next to the machine's
+            // writes.tenant.* gauges in the same metrics export.
+            let m = &machine.obs().metrics;
+            for t in &shares {
+                let id = t.id;
+                m.gauge(&format!("gc.tenant.{id}.minor_gcs"))
+                    .set(t.minor_gcs as f64);
+                m.gauge(&format!("gc.tenant.{id}.full_gcs"))
+                    .set(t.full_gcs as f64);
+                m.gauge(&format!("gc.tenant.{id}.pause_cycles"))
+                    .set(t.pause_cycles as f64);
+                m.gauge(&format!("gc.tenant.{id}.allocated_bytes"))
+                    .set(t.allocated_bytes as f64);
+                m.gauge(&format!("os.tenant.{id}.page_faults"))
+                    .set(t.page_faults as f64);
+            }
+            let (unattributed_pcm, unattributed_dram) = machine
+                .tenancy()
+                .map_or((0, 0), |t| (t.unattributed_pcm(), t.unattributed_dram()));
+            ConsolidationSummary {
+                mix: mix.name().to_string(),
+                tenants: entries.len(),
+                contexts: machine.contexts(),
+                slice: self.slice,
+                unattributed_pcm_lines: unattributed_pcm,
+                unattributed_dram_lines: unattributed_dram,
+                per_tenant: shares,
+            }
+        });
 
         machine.publish_metrics();
+        let elapsed = machine.elapsed_seconds();
+        let pcm_writes = machine.socket_writes(SocketId::PCM);
         let trace = machine.obs().tracer.drain();
         let gc_pause_histogram = machine
             .obs()
@@ -422,18 +583,21 @@ impl Experiment {
         let heatmap = build_heatmap(&machine);
 
         let report = RunReport {
-            workload: format!("{}", self.spec),
+            workload: match self.roster {
+                Roster::Instances(spec, _) => format!("{spec}"),
+                Roster::Tenants(mix, n) => format!("{mix}@{n}"),
+            },
             // OS-managed runs are keyed by the placement policy: that is
             // the design point being swept, not the (neutral) collector.
             collector: if let Some(cfg) = self.os {
                 cfg.policy.name().into()
-            } else if self.spec.language == Language::Cpp {
+            } else if entries.iter().all(|e| e.workload.language == Language::Cpp) {
                 "malloc".into()
             } else {
                 self.collector.name().into()
             },
             profile: self.profile.name.into(),
-            instances: self.instances,
+            instances: entries.len(),
             pcm_writes,
             pcm_reads: machine.socket_reads(SocketId::PCM),
             dram_writes: machine.socket_writes(SocketId::DRAM),
@@ -444,7 +608,7 @@ impl Experiment {
             } else {
                 0.0
             },
-            allocated: ByteSize::new(allocated),
+            allocated: ByteSize::new(alloc_deltas.iter().sum()),
             gc,
             native,
             machine: *machine.stats(),
@@ -465,7 +629,7 @@ impl Experiment {
             gc_pause_histogram,
             os_paging: os_mgr.as_ref().map(OsPageManager::stats),
             provenance,
-            consolidation: None,
+            consolidation,
         };
         Ok(RunArtifacts {
             report,
@@ -502,40 +666,49 @@ fn build_heatmap(machine: &Machine) -> Vec<PageWear> {
     pages.into_values().collect()
 }
 
-/// Round-robin scheduler: one quantum per running instance per round, so
-/// co-running instances interleave in the shared LLC. Instances that
-/// finish are not restarted (§IV).
-fn run_iteration(
+/// The slice scheduler: each live entry runs up to `slice` consecutive
+/// workload steps, then yields; entries that finish are not restarted
+/// (§IV). A slice boundary is a semantic flush point — deferred
+/// submissions drain before the next entry's slice — so virtual time and
+/// counter state at every boundary are identical under scalar and
+/// deferred submission. A full round over all entries is the monitor and
+/// OS poll edge. At slice 1 co-running instances interleave step by step
+/// in the shared LLC.
+fn run_slices(
     machine: &mut Machine,
-    instances: &mut [(Box<dyn Workload>, Memory)],
+    running: &mut [(Box<dyn Workload>, Memory)],
+    slice: u64,
     mut monitor: Option<&mut WriteRateMonitor>,
     mut os: Option<&mut OsPageManager>,
 ) -> Result<()> {
-    let mut done = vec![false; instances.len()];
-    let mut remaining = instances.len();
-    // A generous runaway bound: no experiment needs this many quanta.
+    let mut done = vec![false; running.len()];
+    let mut remaining = running.len();
+    // A generous runaway bound, shared across all entries: no experiment
+    // needs this many quanta.
     let mut fuel: u64 = 50_000_000;
     while remaining > 0 {
-        for (i, (w, mem)) in instances.iter_mut().enumerate() {
+        for (i, (w, mem)) in running.iter_mut().enumerate() {
             if done[i] {
                 continue;
             }
-            if w.step(machine, mem)? == StepResult::IterationDone {
-                done[i] = true;
-                remaining -= 1;
+            for _ in 0..slice {
+                if w.step(machine, mem)? == StepResult::IterationDone {
+                    done[i] = true;
+                    remaining -= 1;
+                    break;
+                }
+                fuel -= 1;
+                if fuel == 0 {
+                    return Err(HemuError::InvalidConfig(
+                        "workloads did not terminate within the quantum budget".into(),
+                    ));
+                }
             }
-            fuel -= 1;
-            if fuel == 0 {
-                return Err(HemuError::InvalidConfig(
-                    "workload did not terminate within the quantum budget".into(),
-                ));
-            }
+            machine.sync_submissions()?;
         }
-        // A scheduler round edge is a safe point: deferred submissions
-        // flush before anything samples clocks or counters, so the
-        // monitor and the OS migrator observe exactly the state the
-        // scalar submission path would show them.
-        machine.sync_submissions()?;
+        // Deferred submissions have drained, so the monitor and the OS
+        // migrator observe exactly the state the scalar submission path
+        // would show them.
         if let Some(mon) = monitor.as_deref_mut() {
             mon.poll(machine);
         }
@@ -546,22 +719,6 @@ fn run_iteration(
         }
     }
     Ok(())
-}
-
-fn aggregate_gc(
-    instances: &[(Box<dyn Workload>, Memory)],
-    before: &[Option<GcStats>],
-) -> Option<GcStats> {
-    let mut any = false;
-    let mut total = GcStats::default();
-    for ((_, mem), earlier) in instances.iter().zip(before) {
-        if let Some(stats) = mem.gc_stats() {
-            any = true;
-            let delta = diff_gc(stats, earlier.as_ref().unwrap_or(&GcStats::default()));
-            total = add_gc(&total, &delta);
-        }
-    }
-    any.then_some(total)
 }
 
 fn diff_gc(now: &GcStats, then: &GcStats) -> GcStats {
@@ -607,15 +764,14 @@ fn add_gc(a: &GcStats, b: &GcStats) -> GcStats {
 }
 
 fn aggregate_native(
-    instances: &[(Box<dyn Workload>, Memory)],
-    before: &[Option<NativeStats>],
+    running: &[(Box<dyn Workload>, Memory)],
+    before: &[NativeStats],
 ) -> Option<NativeStats> {
     let mut any = false;
     let mut total = NativeStats::default();
-    for ((_, mem), earlier) in instances.iter().zip(before) {
+    for ((_, mem), then) in running.iter().zip(before) {
         if let Some(stats) = mem.native_stats() {
             any = true;
-            let then = earlier.unwrap_or_default();
             total.allocated_bytes += stats.allocated_bytes - then.allocated_bytes;
             total.allocated_objects += stats.allocated_objects - then.allocated_objects;
             total.freed_bytes += stats.freed_bytes - then.freed_bytes;
@@ -630,16 +786,24 @@ fn aggregate_native(
 mod tests {
     use super::*;
 
+    fn invalid(e: Experiment) -> bool {
+        matches!(e.run(), Err(HemuError::InvalidConfig(_)))
+    }
+
+    fn tenants(mix: Mix, n: usize) -> Experiment {
+        Experiment::with_roster(Roster::Tenants(mix, n))
+    }
+
     #[test]
     fn zero_instances_is_invalid() {
         let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap()).instances(0);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+        assert!(invalid(e));
     }
 
     #[test]
     fn too_many_instances_is_invalid() {
         let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap()).instances(64);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+        assert!(invalid(e));
     }
 
     #[test]
@@ -648,6 +812,63 @@ mod tests {
             .unwrap()
             .with_language(Language::Cpp);
         let e = Experiment::new(spec).collector(CollectorKind::KgN);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+        assert!(invalid(e));
+    }
+
+    #[test]
+    fn zero_tenants_is_invalid() {
+        assert!(invalid(tenants(Mix::Dacapo, 0)));
+    }
+
+    #[test]
+    fn tenant_ids_must_fit_a_byte() {
+        assert!(invalid(tenants(Mix::Dacapo, 256)));
+    }
+
+    #[test]
+    fn os_paging_requires_pcm_only() {
+        let os = OsPagingConfig::default();
+        let e = tenants(Mix::Dacapo, 2)
+            .collector(CollectorKind::KgN)
+            .os_paging(os);
+        assert!(invalid(e));
+        let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap())
+            .collector(CollectorKind::KgN)
+            .os_paging(os);
+        assert!(invalid(e));
+    }
+
+    #[test]
+    fn monitor_interval_must_be_positive_and_finite() {
+        for seconds in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap())
+                .without_warmup()
+                .monitor_interval(seconds);
+            assert!(invalid(e), "interval {seconds} accepted");
+        }
+    }
+
+    #[test]
+    fn oversubscription_is_allowed() {
+        // 6 tenants on a 4-context profile — the whole point of tenant
+        // rosters. Warm-up off keeps the test cheap.
+        let profile = MachineProfile::emulation().with_contexts(4);
+        let report = tenants(Mix::Dacapo, 6)
+            .profile(profile)
+            .without_warmup()
+            .run()
+            .expect("oversubscribed run completes");
+        let c = report.consolidation.expect("consolidation block");
+        assert_eq!(c.tenants, 6);
+        assert_eq!(c.contexts, 4);
+        assert_eq!(c.per_tenant.len(), 6);
+    }
+
+    #[test]
+    fn slice_defaults_by_roster_and_is_clamped_to_one() {
+        let spec = WorkloadSpec::by_name("pjbb").unwrap();
+        assert_eq!(Experiment::new(spec).slice, 1);
+        assert_eq!(tenants(Mix::Pjbb, 1).slice, 64);
+        assert_eq!(tenants(Mix::Pjbb, 1).slice(0).slice, 1);
     }
 }

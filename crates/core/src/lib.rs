@@ -1,18 +1,28 @@
 //! The emulation platform: configure and run hybrid-memory experiments.
 //!
 //! This crate is the top of the stack — the equivalent of the paper's
-//! measurement harness. An [`Experiment`] names a workload, a collector
-//! configuration, an instance count (for multiprogrammed workloads), a
-//! machine profile (emulation vs simulation) and a seed; running it:
+//! measurement harness. An [`Experiment`] names a [`Roster`], a collector
+//! configuration, a machine profile (emulation vs simulation) and a seed.
+//! The roster is either N identical instances of one workload at one seed
+//! (the paper's multiprogramming, at most one per hardware context) or N
+//! tenants drawn from a [`hemu_workloads::Mix`] (tenant `i` at seed
+//! `seed + i`, contexts may be over-subscribed, every controller write is
+//! attributed to its tenant). Running it:
 //!
-//! 1. builds the machine and one process + heap + workload per instance;
+//! 1. builds the machine and one process + heap + workload per roster
+//!    entry;
 //! 2. runs a **warm-up iteration** (replay compilation's first iteration);
-//! 3. synchronizes all instances at a **barrier**, resets the
+//! 3. synchronizes all entries at a **barrier**, resets the
 //!    memory-controller counters, clocks and cache statistics;
-//! 4. runs the **measured iteration**, interleaving instance quanta on the
-//!    shared cache hierarchy while the write-rate [`monitor`] samples the
-//!    PCM socket's counters;
-//! 5. flushes the caches and produces a [`RunReport`].
+//! 4. runs the **measured iteration** on one slice scheduler: each live
+//!    entry runs up to `slice` steps (1 for instances, 64 for tenants by
+//!    default) on the shared cache hierarchy, deferred submissions drain
+//!    after every slice, and at each round edge the write-rate [`monitor`]
+//!    samples the PCM socket's counters and the OS page manager (if any)
+//!    runs its migration pass;
+//! 5. leaves the caches warm and dirty — the measured interval's eviction
+//!    traffic is the steady-state write stream, so nothing is flushed —
+//!    and produces a [`RunReport`].
 //!
 //! # Examples
 //!
@@ -37,7 +47,7 @@ pub mod monitor;
 pub mod report;
 pub mod restore;
 
-pub use experiment::{Experiment, RunArtifacts};
+pub use experiment::{Experiment, Roster, RunArtifacts};
 pub use lifetime::{lifetime_years, LifetimeModel};
 pub use monitor::{RateSample, WriteRateMonitor};
 pub use report::{

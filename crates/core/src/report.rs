@@ -60,8 +60,8 @@ pub struct RunReport {
     /// Write-provenance breakdown (present when the experiment enabled
     /// profiling).
     pub provenance: Option<ProvenanceSummary>,
-    /// Per-tenant write shares (present when the run co-scheduled
-    /// multiple tenants via `hemu-tenant`).
+    /// Per-tenant write shares (present when the experiment ran a
+    /// [`crate::Roster::Tenants`] roster; `None` for identical instances).
     pub consolidation: Option<ConsolidationSummary>,
 }
 

@@ -2,17 +2,20 @@
 //! shared emulated machine.
 //!
 //! The paper's experiments run one workload (possibly multiple instances
-//! of it) per machine. This crate asks the datacenter question instead:
+//! of it) per machine. Consolidation asks the datacenter question instead:
 //! what happens to per-tenant PCM write rates when *different* managed
 //! workloads are consolidated onto the same sockets — sharing the
-//! inclusive LLC, the QPI link and the PCM write budget? A
-//! [`ConsolidationRun`] time-multiplexes N tenants (each its own process,
-//! heap and workload, drawn from a [`Mix`] roster with a per-tenant RNG
-//! seed) onto the machine's M hardware contexts with a deterministic
-//! virtual-time slice scheduler, and attributes every memory-controller
-//! line write to the tenant owning the written frame. Per-tenant counts
-//! sum exactly to the global controller counters, so consolidation
-//! reports compose with every other measurement axis.
+//! inclusive LLC, the QPI link and the PCM write budget?
+//!
+//! Both questions run on the one runner, [`hemu_core::Experiment`], with a
+//! different [`hemu_core::Roster`]: a `Roster::Tenants` roster draws N
+//! tenants (each its own process, heap and workload) from a [`Mix`] with a
+//! per-tenant RNG seed, time-multiplexes them onto the machine's M hardware contexts in
+//! 64-step slices, and attributes every memory-controller line write to
+//! the tenant owning the written frame. Per-tenant counts sum exactly to
+//! the global controller counters, so consolidation reports compose with
+//! every other measurement axis. This crate keeps the consolidation names
+//! for those pieces.
 //!
 //! # Examples
 //!
@@ -29,8 +32,20 @@
 
 #![warn(missing_docs)]
 
-mod mix;
-mod run;
+use hemu_core::{Experiment, Roster};
+pub use hemu_workloads::{Mix, TenantSpec};
 
-pub use mix::{Mix, TenantSpec};
-pub use run::ConsolidationRun;
+/// The consolidation entry point: a namespace (it has no values) whose
+/// constructor builds the [`Experiment`] for a tenant roster.
+#[derive(Debug)]
+pub enum ConsolidationRun {}
+
+impl ConsolidationRun {
+    /// An experiment over `tenants` tenants drawn from `mix`, with the
+    /// consolidation defaults: 64-step slices, PCM-Only collector,
+    /// emulation profile, base seed 42 (tenant `i` runs at `seed + i`).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(mix: Mix, tenants: usize) -> Experiment {
+        Experiment::with_roster(Roster::Tenants(mix, tenants))
+    }
+}

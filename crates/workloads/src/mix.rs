@@ -1,7 +1,7 @@
 //! Workload-mix rosters and per-tenant workload assignment.
 
+use crate::spec::WorkloadSpec;
 use hemu_types::{HemuError, Result};
-use hemu_workloads::WorkloadSpec;
 
 /// A named roster of workloads tenants are drawn from, round-robin: tenant
 /// `i` runs `roster[i % roster.len()]` with seed `base_seed + i`, so a

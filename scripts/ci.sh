@@ -130,6 +130,18 @@ if grep -E '"unattributed_(pcm|dram)_lines":[1-9]' "$smoke_dir/consolidate/runs.
   exit 1
 fi
 
+echo "== science pin: perfbench verifies every gated run at seed 42 (fingerprints included) =="
+# perfbench checks each run's RunReport against perfbench/fingerprints.json
+# at seed 42; its final JSON line counts the runs that missed.
+for workload in dacapo-gc shared-machine; do
+  line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)"
+  if ! grep -q '"failed": 0,' <<< "$line"; then
+    echo "perfbench $workload: runs failed verification: $line" >&2
+    exit 1
+  fi
+done
+
 echo "== perf gate: kernel + smoke-sweep throughput within 20% of the checked-in baseline =="
 ./target/release/repro --bench --jobs 4 --bench-out "$smoke_dir/bench.json" \
   --bench-baseline BENCH_results.json
