@@ -1,10 +1,12 @@
-//! Dependency-free microbenchmarks of the platform's hot paths.
+//! Dependency-free microbenchmarks of single operations: heap allocation,
+//! the write barrier, address translation, native malloc, Zipf draws and
+//! the raw cache and machine access streams.
 //!
 //! A plain `harness = false` binary timed with `std::time::Instant`, so
 //! `cargo bench` works in the hermetic offline build. Each benchmark is
-//! calibrated to a target wall time and reports ns/op and throughput. The
-//! legacy criterion suites (`micro`, `ablations`) remain available behind
-//! the `bench-criterion` feature for environments that vendor criterion.
+//! calibrated to a target wall time and reports ns/op and throughput. It is
+//! a quick local probe, not a gate: end-to-end throughput and per-layer
+//! host time are measured by `perfbench/` (see docs/performance.md).
 
 use hemu_cache::{Hierarchy, HierarchyConfig};
 use hemu_heap::{CollectorKind, ManagedHeap};

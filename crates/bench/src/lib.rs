@@ -1,18 +1,17 @@
-//! The benchmark harness: regenerates every table and figure of the paper.
+//! The sweep harness: regenerates every table and figure of the paper.
 //!
 //! The [`experiments`] module contains one function per table/figure; the
 //! `repro` binary (`cargo run -p hemu-bench --bin repro --release -- all`)
-//! prints them, and the criterion benches under `benches/` cover the
-//! micro-level and ablation measurements. A [`Harness`] caches experiment
-//! results so that figures sharing configurations (e.g. Fig. 4's
-//! multiprogrammed PCM-Only runs and Table III's lifetime inputs) run each
-//! experiment once.
+//! prints them. A [`Harness`] caches experiment results so that figures
+//! sharing configurations (e.g. Fig. 4's multiprogrammed PCM-Only runs and
+//! Table III's lifetime inputs) run each experiment once. Every run uses
+//! the engine defaults of `hemu-core::Experiment`; host performance is
+//! measured by the separate `perfbench/` package, not here.
 
 pub mod executor;
 pub mod experiments;
 pub mod fmt;
 pub mod harness;
-pub mod perf;
 
 pub use executor::{ExecCtx, JobSpec, StagedRun};
 pub use harness::{Harness, Manager, Profile, RunPolicy, RunRecord, RunStatus, Scale};

@@ -1,17 +1,18 @@
 //! The parallel executor's determinism guarantee: every exported artifact
 //! — `runs.json`, `samples.csv`, per-run JSON reports, the event trace,
 //! and the rendered figure text — is byte-identical at any `--jobs` width,
-//! including against the fully sequential `--jobs 1` path, and at any
-//! *intra-run* batch-resolution thread count (the sharded cache pipeline
-//! inside each machine). Holds with and without an active fault plan, and
-//! for sweeps whose later runs are conditional on earlier results (the
-//! planning-wave case).
+//! including against the fully sequential `--jobs 1` path. Holds with and
+//! without an active fault plan, and for sweeps whose later runs are
+//! conditional on earlier results (the planning-wave case). Equivalence of
+//! the engine implementations below the sweep layer (access path,
+//! submission mode, resolver threads) is pinned per run in the root
+//! package's `tests/golden_reports.rs`.
 
 use hemu_bench::{Harness, Profile, RunPolicy, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
 use hemu_obs::Reporter;
-use hemu_types::{ByteSize, OsPagingConfig, OsPolicy, Result, SubmitMode};
+use hemu_types::{ByteSize, OsPagingConfig, OsPolicy, Result};
 use hemu_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::fs;
@@ -61,32 +62,8 @@ fn artifacts(
     jobs: usize,
     faults: Option<FaultPlan>,
 ) -> (String, BTreeMap<String, String>) {
-    artifacts_intra(dir, jobs, 1, faults)
-}
-
-/// [`artifacts`] with an explicit intra-run batch-resolution thread count.
-fn artifacts_intra(
-    dir: &Path,
-    jobs: usize,
-    intra: usize,
-    faults: Option<FaultPlan>,
-) -> (String, BTreeMap<String, String>) {
-    artifacts_submit(dir, jobs, intra, faults, SubmitMode::default())
-}
-
-/// [`artifacts_intra`] with an explicit submission mode (deferred vs
-/// per-call scalar).
-fn artifacts_submit(
-    dir: &Path,
-    jobs: usize,
-    intra: usize,
-    faults: Option<FaultPlan>,
-    submit: SubmitMode,
-) -> (String, BTreeMap<String, String>) {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(jobs);
-    h.set_intra_threads(intra);
-    h.set_submit_mode(submit);
     h.set_reporter(Reporter::to_writer(Box::new(std::io::sink())));
     h.set_json_dir(dir).expect("create json dir");
     h.set_trace_out(dir.join("trace.jsonl")).expect("trace out");
@@ -99,7 +76,11 @@ fn artifacts_submit(
     }
     let text = h.run_planned(sweep).expect("sweep renders");
     h.finalize_exports().expect("finalize");
+    (text, read_artifacts(dir))
+}
 
+/// Every file in `dir`, keyed by file name.
+fn read_artifacts(dir: &Path) -> BTreeMap<String, String> {
     let mut files = BTreeMap::new();
     for entry in fs::read_dir(dir).expect("read dir") {
         let entry = entry.expect("dir entry");
@@ -107,7 +88,7 @@ fn artifacts_submit(
         let content = fs::read_to_string(entry.path()).expect("read artifact");
         files.insert(name, content);
     }
-    (text, files)
+    files
 }
 
 fn assert_identical(
@@ -183,18 +164,8 @@ fn os_sweep(h: &mut Harness) -> Result<String> {
 /// Runs the OS-policy sweep at the given jobs width (shares the artifact
 /// collection of [`artifacts`], but with migrator tuning installed).
 fn os_artifacts(dir: &Path, jobs: usize) -> (String, BTreeMap<String, String>) {
-    os_artifacts_submit(dir, jobs, SubmitMode::default())
-}
-
-/// [`os_artifacts`] with an explicit submission mode.
-fn os_artifacts_submit(
-    dir: &Path,
-    jobs: usize,
-    submit: SubmitMode,
-) -> (String, BTreeMap<String, String>) {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(jobs);
-    h.set_submit_mode(submit);
     h.set_reporter(Reporter::to_writer(Box::new(std::io::sink())));
     h.set_json_dir(dir).expect("create json dir");
     h.set_trace_out(dir.join("trace.jsonl")).expect("trace out");
@@ -204,15 +175,7 @@ fn os_artifacts_submit(
     h.set_os_tuning(tuning);
     let text = h.run_planned(os_sweep).expect("sweep renders");
     h.finalize_exports().expect("finalize");
-
-    let mut files = BTreeMap::new();
-    for entry in fs::read_dir(dir).expect("read dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let content = fs::read_to_string(entry.path()).expect("read artifact");
-        files.insert(name, content);
-    }
-    (text, files)
+    (text, read_artifacts(dir))
 }
 
 /// An OS-policy sweep with an active hot/cold migrator exports
@@ -247,15 +210,7 @@ fn profiled_artifacts(dir: &Path, jobs: usize) -> (String, BTreeMap<String, Stri
         .expect("heatmap out");
     let text = h.run_planned(sweep).expect("sweep renders");
     h.finalize_exports().expect("finalize");
-
-    let mut files = BTreeMap::new();
-    for entry in fs::read_dir(dir).expect("read dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let content = fs::read_to_string(entry.path()).expect("read artifact");
-        files.insert(name, content);
-    }
-    (text, files)
+    (text, read_artifacts(dir))
 }
 
 /// The profiler's exports — the span timeline and the per-page wear
@@ -288,110 +243,6 @@ fn profiled_sweep_artifacts_are_byte_identical() {
     );
     // Profiled reports carry the attribution block.
     assert!(seq.1["runs.json"].contains("\"provenance\":{\"pcm\":{\"by_cause\":{\"mutator\":"));
-}
-
-/// The intra-run matrix: artifacts are byte-identical across batch-
-/// resolution thread counts {1, 2, 4} crossed with `--jobs` {1, 4}. This
-/// is the determinism invariant one level below the executor — shard
-/// partitioning fixes every outcome regardless of how many workers resolve
-/// the shards, and the merge replays bookkeeping in submission order.
-#[test]
-fn intra_thread_matrix_is_byte_identical() {
-    let base = artifacts_intra(&tmp_dir("det-intra-base"), 1, 1, None);
-    for jobs in [1, 4] {
-        for intra in [1, 2, 4] {
-            if (jobs, intra) == (1, 1) {
-                continue;
-            }
-            let name = format!("det-intra-j{jobs}-t{intra}");
-            let got = artifacts_intra(&tmp_dir(&name), jobs, intra, None);
-            assert_identical(&base, &got);
-        }
-    }
-}
-
-/// The same matrix with a fault plan injecting deterministic allocation
-/// failures and retries: attempt counts, failed runs, and partial tables
-/// must not depend on either parallelism axis.
-#[test]
-fn faulted_intra_thread_matrix_is_byte_identical() {
-    let plan = FaultPlan {
-        seed: 3,
-        frame_alloc_p: 0.5,
-        only: Some("avrora".into()),
-        ..FaultPlan::none()
-    };
-    let base = artifacts_intra(&tmp_dir("det-fintra-base"), 1, 1, Some(plan.clone()));
-    for jobs in [1, 4] {
-        for intra in [2, 4] {
-            let name = format!("det-fintra-j{jobs}-t{intra}");
-            let got = artifacts_intra(&tmp_dir(&name), jobs, intra, Some(plan.clone()));
-            assert_identical(&base, &got);
-        }
-    }
-}
-
-/// The submission-mode axis: deferred submission (mutator/GC traffic
-/// buffered and flushed through the batch pipeline at semantic
-/// boundaries) produces byte-identical artifacts to per-call scalar
-/// submission, across `--jobs` {1, 4} × `--intra-threads` {1, 4}. This is
-/// the deferral tentpole's end-to-end invariant — the machine-level
-/// equivalence test lives in `hemu-machine`, this one locks every
-/// exported artifact.
-#[test]
-fn deferred_submission_matrix_is_byte_identical_to_scalar() {
-    let base = artifacts_submit(&tmp_dir("det-sub-base"), 1, 1, None, SubmitMode::Scalar);
-    for jobs in [1, 4] {
-        for intra in [1, 4] {
-            let name = format!("det-sub-j{jobs}-t{intra}");
-            let got = artifacts_submit(&tmp_dir(&name), jobs, intra, None, SubmitMode::Deferred);
-            assert_identical(&base, &got);
-        }
-    }
-}
-
-/// The same deferred-vs-scalar guarantee under an active fault plan: the
-/// machine gates deferral off when a fault injector observes per-line
-/// order, so failed runs, attempt counts, and partial tables must match
-/// the scalar reference exactly.
-#[test]
-fn faulted_deferred_submission_is_byte_identical_to_scalar() {
-    let plan = FaultPlan {
-        seed: 3,
-        frame_alloc_p: 0.5,
-        only: Some("avrora".into()),
-        ..FaultPlan::none()
-    };
-    let base = artifacts_submit(
-        &tmp_dir("det-fsub-base"),
-        1,
-        1,
-        Some(plan.clone()),
-        SubmitMode::Scalar,
-    );
-    for jobs in [1, 4] {
-        for intra in [1, 4] {
-            let name = format!("det-fsub-j{jobs}-t{intra}");
-            let got = artifacts_submit(
-                &tmp_dir(&name),
-                jobs,
-                intra,
-                Some(plan.clone()),
-                SubmitMode::Deferred,
-            );
-            assert_identical(&base, &got);
-        }
-    }
-}
-
-/// Deferred vs scalar across OS paging policies: the hot/cold migrator's
-/// heat sampling, migrations, and TLB flushes see identical traffic in
-/// either mode.
-#[test]
-fn os_policy_sweep_deferred_matches_scalar() {
-    let scalar = os_artifacts_submit(&tmp_dir("det-os-sub-s"), 1, SubmitMode::Scalar);
-    let deferred = os_artifacts_submit(&tmp_dir("det-os-sub-d"), 4, SubmitMode::Deferred);
-    assert_identical(&scalar, &deferred);
 }
 
 /// A consolidation sweep: two tenant densities of the DaCapo mix
@@ -428,14 +279,10 @@ fn tenant_sweep(h: &mut Harness) -> Result<String> {
 fn tenant_artifacts(
     dir: &Path,
     jobs: usize,
-    intra: usize,
     faults: Option<FaultPlan>,
-    submit: SubmitMode,
 ) -> (String, BTreeMap<String, String>) {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(jobs);
-    h.set_intra_threads(intra);
-    h.set_submit_mode(submit);
     h.set_reporter(Reporter::to_writer(Box::new(std::io::sink())));
     h.set_json_dir(dir).expect("create json dir");
     h.set_trace_out(dir.join("trace.jsonl")).expect("trace out");
@@ -444,29 +291,17 @@ fn tenant_artifacts(
     }
     let text = h.run_planned(tenant_sweep).expect("sweep renders");
     h.finalize_exports().expect("finalize");
-
-    let mut files = BTreeMap::new();
-    for entry in fs::read_dir(dir).expect("read dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let content = fs::read_to_string(entry.path()).expect("read artifact");
-        files.insert(name, content);
-    }
-    (text, files)
+    (text, read_artifacts(dir))
 }
 
-/// Consolidated sweeps are byte-identical across `--jobs` {1, 4} ×
-/// `--intra-threads` {1, 4}: the slice scheduler runs in virtual time, so
-/// neither executor width nor shard-resolution width can reorder tenant
-/// turns or write attribution.
+/// Consolidated sweeps are byte-identical across `--jobs` {1, 4}: the
+/// slice scheduler runs in virtual time, so the executor width cannot
+/// reorder tenant turns or write attribution.
 #[test]
-fn tenant_sweep_is_byte_identical_across_jobs_and_intra() {
-    let base = tenant_artifacts(&tmp_dir("det-ten-base"), 1, 1, None, SubmitMode::default());
-    for (jobs, intra) in [(1, 4), (4, 1), (4, 4)] {
-        let name = format!("det-ten-j{jobs}-t{intra}");
-        let got = tenant_artifacts(&tmp_dir(&name), jobs, intra, None, SubmitMode::default());
-        assert_identical(&base, &got);
-    }
+fn tenant_sweep_is_byte_identical_across_jobs() {
+    let base = tenant_artifacts(&tmp_dir("det-ten-seq"), 1, None);
+    let par = tenant_artifacts(&tmp_dir("det-ten-par"), 4, None);
+    assert_identical(&base, &par);
     assert!(
         base.0.contains("dacapo@2") && base.0.contains("dacapo@3"),
         "both densities rendered: {}",
@@ -484,7 +319,7 @@ fn tenant_sweep_is_byte_identical_across_jobs_and_intra() {
 
 /// The same guarantee with a fault plan scoped to the density-2 run:
 /// deterministic injected failures, retries, and the surviving density-3
-/// run must not depend on either parallelism axis.
+/// run must not depend on the executor width.
 #[test]
 fn faulted_tenant_sweep_is_byte_identical() {
     let plan = FaultPlan {
@@ -493,34 +328,9 @@ fn faulted_tenant_sweep_is_byte_identical() {
         only: Some("dacapo@2".into()),
         ..FaultPlan::none()
     };
-    let base = tenant_artifacts(
-        &tmp_dir("det-ften-base"),
-        1,
-        1,
-        Some(plan.clone()),
-        SubmitMode::default(),
-    );
-    let par = tenant_artifacts(
-        &tmp_dir("det-ften-par"),
-        4,
-        4,
-        Some(plan),
-        SubmitMode::default(),
-    );
+    let base = tenant_artifacts(&tmp_dir("det-ften-base"), 1, Some(plan.clone()));
+    let par = tenant_artifacts(&tmp_dir("det-ften-par"), 4, Some(plan));
     assert_identical(&base, &par);
-}
-
-/// Deferred vs scalar submission for consolidated runs: slice boundaries
-/// are semantic flush points, so buffering tenant traffic through the
-/// batch pipeline must reproduce the per-call scalar reference exactly.
-#[test]
-fn tenant_sweep_deferred_matches_scalar() {
-    let scalar = tenant_artifacts(&tmp_dir("det-ten-sub-s"), 1, 1, None, SubmitMode::Scalar);
-    for (jobs, intra) in [(1, 4), (4, 1)] {
-        let name = format!("det-ten-sub-d-j{jobs}-t{intra}");
-        let got = tenant_artifacts(&tmp_dir(&name), jobs, intra, None, SubmitMode::Deferred);
-        assert_identical(&scalar, &got);
-    }
 }
 
 /// Widths beyond the job count (and odd widths) change nothing either.

@@ -374,8 +374,7 @@ impl ShardedHierarchy {
     /// Consume with [`ShardedHierarchy::drain_counts`] /
     /// [`ShardedHierarchy::drain_fills`] /
     /// [`ShardedHierarchy::drain_writebacks`]; not mixable with
-    /// [`ShardedHierarchy::next_outcome`] or
-    /// [`ShardedHierarchy::drain_lines`] within one batch.
+    /// [`ShardedHierarchy::next_outcome`] within one batch.
     pub fn resolve_aggregate(&mut self, threads: usize) {
         let ns_bits = self.ns_bits;
         let threads = threads.clamp(1, self.shards.len());
@@ -413,8 +412,7 @@ impl ShardedHierarchy {
     }
 
     /// Consumes the memory fills of an aggregate-resolved batch:
-    /// `visit(ctx, line)` per fill, shard-major in per-shard access order —
-    /// the same order [`ShardedHierarchy::drain_lines`] would surface them.
+    /// `visit(ctx, line)` per fill, shard-major in per-shard access order.
     pub fn drain_fills<F: FnMut(usize, LineAddr)>(&mut self, mut visit: F) {
         for s in &mut self.shards {
             for &(ctx, line) in &s.fills {
@@ -452,33 +450,9 @@ impl ShardedHierarchy {
         (level, fill, wbs)
     }
 
-    /// Consumes every resolved outcome of the current batch shard-major:
-    /// `visit` sees each queued access's context, original (unshifted)
-    /// line, and hit level, in per-shard enqueue order. This is the
-    /// aggregate half of the merge for callers whose per-line bookkeeping
-    /// is order-insensitive (pure counter sums): walking shard-major keeps
-    /// each shard's queue and outcome arrays streaming instead of hopping
-    /// between shards per line, and skips [`ShardedHierarchy::next_outcome`]'s
-    /// cursor machinery entirely. Pair with
-    /// [`ShardedHierarchy::drain_writebacks`]; not mixable with
-    /// `next_outcome` within one batch.
-    pub fn drain_lines<F: FnMut(usize, LineAddr, HitLevel)>(&mut self, mut visit: F) {
-        for s in &mut self.shards {
-            debug_assert_eq!(s.cursor, 0, "drain_lines after next_outcome");
-            for (q, &code) in s.queue.iter().zip(s.out.iter()) {
-                visit(
-                    (q.meta >> 16) as usize,
-                    LineAddr::new(q.line),
-                    code_level(code),
-                );
-            }
-            s.cursor = s.queue.len();
-        }
-    }
-
     /// Consumes every write-back of the current batch shard-major, with its
-    /// provenance tag; the order-insensitive companion of
-    /// [`ShardedHierarchy::drain_lines`].
+    /// provenance tag; the companion of [`ShardedHierarchy::drain_counts`]
+    /// and [`ShardedHierarchy::drain_fills`].
     pub fn drain_writebacks<F: FnMut(LineAddr, u8)>(&mut self, mut visit: F) {
         for s in &mut self.shards {
             debug_assert_eq!(s.wb_cursor, 0, "drain_writebacks after next_outcome");
@@ -622,14 +596,12 @@ mod tests {
         assert_eq!(*mono.llc().stats(), sharded.llc_stats());
     }
 
-    #[test]
-    fn batch_outcomes_match_scalar_path_at_any_thread_count() {
-        for threads in [1, 3] {
-            let mut scalar = ShardedHierarchy::new(config(), 2);
-            let mut batch = ShardedHierarchy::new(config(), 2);
-            let mut stream = Vec::new();
-            let mut state = 99u64;
-            for i in 0..4000u64 {
+    /// A seeded two-context stream over 256 lines, long enough for two
+    /// batches of [`PARALLEL_MIN_LINES`].
+    fn stream(seed: u64) -> Vec<(usize, LineAddr, AccessKind)> {
+        let mut state = seed;
+        (0..2 * PARALLEL_MIN_LINES as u64)
+            .map(|i| {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
@@ -638,10 +610,29 @@ mod tests {
                 } else {
                     AccessKind::Read
                 };
-                stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
-            }
+                ((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind)
+            })
+            .collect()
+    }
+
+    /// Lines per batch for a resolution at `threads`: small batches when
+    /// sequential, and batches big enough to reach the worker pool when
+    /// threaded (smaller ones resolve inline at any thread count).
+    fn batch_lines(threads: usize) -> usize {
+        if threads == 1 {
+            257
+        } else {
+            PARALLEL_MIN_LINES
+        }
+    }
+
+    #[test]
+    fn batch_outcomes_match_scalar_path_at_any_thread_count() {
+        for threads in [1, 3] {
+            let mut scalar = ShardedHierarchy::new(config(), 2);
+            let mut batch = ShardedHierarchy::new(config(), 2);
             let mut wb = Vec::new();
-            for chunk in stream.chunks(257) {
+            for chunk in stream(99).chunks(batch_lines(threads)) {
                 batch.begin_batch();
                 for &(ctx, line, kind) in chunk {
                     batch.enqueue(ctx, line, kind, 0);
@@ -659,107 +650,49 @@ mod tests {
     }
 
     #[test]
-    fn drain_matches_next_outcome_aggregates() {
-        let mut cursor = ShardedHierarchy::new(config(), 2);
-        let mut drain = ShardedHierarchy::new(config(), 2);
-        let mut stream = Vec::new();
-        let mut state = 5u64;
-        for i in 0..4000u64 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let kind = if state & 1 == 1 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
-        }
-        // Aggregates: per-(ctx, level) counts and per-line write-back sums.
-        let mut levels_a = [[0u64; 3]; 2];
-        let mut levels_b = [[0u64; 3]; 2];
-        let mut wbs_a = std::collections::BTreeMap::new();
-        let mut wbs_b = std::collections::BTreeMap::new();
-        for chunk in stream.chunks(513) {
-            for s in [&mut cursor, &mut drain] {
-                s.begin_batch();
-                for &(ctx, line, kind) in chunk {
-                    s.enqueue(ctx, line, kind, 3);
-                }
-                s.resolve(1);
-            }
-            for &(ctx, line, _) in chunk {
-                let (lv, _, wbs) = cursor.next_outcome(line);
-                levels_a[ctx][level_code(lv) as usize] += 1;
-                for &(wb, tag) in wbs {
-                    *wbs_a.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-                }
-            }
-            drain.drain_lines(|ctx, _, lv| levels_b[ctx][level_code(lv) as usize] += 1);
-            drain.drain_writebacks(|wb, tag| {
-                *wbs_b.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-            });
-        }
-        assert_eq!(levels_a, levels_b);
-        assert_eq!(wbs_a, wbs_b);
-        assert_eq!(cursor.llc_stats(), drain.llc_stats());
-    }
-
-    #[test]
     fn aggregate_resolve_matches_cursor_merge() {
-        let mut cursor = ShardedHierarchy::new(config(), 2);
-        let mut agg = ShardedHierarchy::new(config(), 2);
-        let mut stream = Vec::new();
-        let mut state = 11u64;
-        for i in 0..4000u64 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let kind = if state & 1 == 1 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
-        }
-        let mut levels_a = [[0u64; 3]; 2];
-        let mut levels_b = [[0u64; 3]; 2];
-        let mut fills_a = std::collections::BTreeMap::new();
-        let mut fills_b = std::collections::BTreeMap::new();
-        let mut wbs_a = std::collections::BTreeMap::new();
-        let mut wbs_b = std::collections::BTreeMap::new();
-        for chunk in stream.chunks(513) {
-            for s in [&mut cursor, &mut agg] {
-                s.begin_batch();
-                for &(ctx, line, kind) in chunk {
-                    s.enqueue(ctx, line, kind, 3);
+        for threads in [1, 3] {
+            let mut cursor = ShardedHierarchy::new(config(), 2);
+            let mut agg = ShardedHierarchy::new(config(), 2);
+            let mut levels_a = [[0u64; 3]; 2];
+            let mut levels_b = [[0u64; 3]; 2];
+            let mut fills_a = std::collections::BTreeMap::new();
+            let mut fills_b = std::collections::BTreeMap::new();
+            let mut wbs_a = std::collections::BTreeMap::new();
+            let mut wbs_b = std::collections::BTreeMap::new();
+            for chunk in stream(11).chunks(batch_lines(threads)) {
+                for s in [&mut cursor, &mut agg] {
+                    s.begin_batch();
+                    for &(ctx, line, kind) in chunk {
+                        s.enqueue(ctx, line, kind, 3);
+                    }
                 }
+                cursor.resolve(1);
+                agg.resolve_aggregate(threads);
+                for &(ctx, line, _) in chunk {
+                    let (lv, fill, wbs) = cursor.next_outcome(line);
+                    levels_a[ctx][level_code(lv) as usize] += 1;
+                    if let Some(f) = fill {
+                        *fills_a.entry((ctx, f.raw())).or_insert(0u64) += 1;
+                    }
+                    for &(wb, tag) in wbs {
+                        *wbs_a.entry((wb.raw(), tag)).or_insert(0u64) += 1;
+                    }
+                }
+                agg.drain_counts(|ctx, lv, n| levels_b[ctx][level_code(lv) as usize] += n);
+                agg.drain_fills(|ctx, f| {
+                    *fills_b.entry((ctx, f.raw())).or_insert(0u64) += 1;
+                });
+                agg.drain_writebacks(|wb, tag| {
+                    *wbs_b.entry((wb.raw(), tag)).or_insert(0u64) += 1;
+                });
             }
-            cursor.resolve(1);
-            agg.resolve_aggregate(1);
-            for &(ctx, line, _) in chunk {
-                let (lv, fill, wbs) = cursor.next_outcome(line);
-                levels_a[ctx][level_code(lv) as usize] += 1;
-                if let Some(f) = fill {
-                    *fills_a.entry((ctx, f.raw())).or_insert(0u64) += 1;
-                }
-                for &(wb, tag) in wbs {
-                    *wbs_a.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-                }
-            }
-            agg.drain_counts(|ctx, lv, n| levels_b[ctx][level_code(lv) as usize] += n);
-            agg.drain_fills(|ctx, f| {
-                *fills_b.entry((ctx, f.raw())).or_insert(0u64) += 1;
-            });
-            agg.drain_writebacks(|wb, tag| {
-                *wbs_b.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-            });
+            assert_eq!(levels_a, levels_b, "threads {threads}");
+            assert_eq!(fills_a, fills_b, "threads {threads}");
+            assert_eq!(wbs_a, wbs_b, "threads {threads}");
+            assert_eq!(cursor.llc_stats(), agg.llc_stats(), "threads {threads}");
+            assert_eq!(cursor.l2_stats(0), agg.l2_stats(0), "threads {threads}");
         }
-        assert_eq!(levels_a, levels_b);
-        assert_eq!(fills_a, fills_b);
-        assert_eq!(wbs_a, wbs_b);
-        assert_eq!(cursor.llc_stats(), agg.llc_stats());
-        assert_eq!(cursor.l2_stats(0), agg.l2_stats(0));
     }
 
     #[test]

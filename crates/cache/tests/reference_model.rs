@@ -148,8 +148,10 @@ fn packed_matches_naive_direct_mapped() {
 /// level, fill, write-back lines with their provenance tags, and — at the
 /// end — aggregate statistics plus the valid/dirty state of every line the
 /// stream could have touched. Run at 1 and 4 resolution threads, so the
-/// property also covers the deterministic-parallelism claim.
-fn compare_scalar_vs_batch(seed: u64, shard_bits: u32, threads: usize) {
+/// property also covers the deterministic-parallelism claim; threaded runs
+/// use [`THREADED_BATCH`]-line batches so the worker pool really resolves
+/// them.
+fn compare_scalar_vs_batch(seed: u64, shard_bits: u32, threads: usize, batch_lines: usize) {
     // Small enough that streams thrash both levels, large enough that
     // back-invalidation and dirty-merge paths fire. L2: 32 sets x 2 ways;
     // LLC: 64 sets x 4 ways; 3 contexts exercise cross-context aliasing.
@@ -183,7 +185,7 @@ fn compare_scalar_vs_batch(seed: u64, shard_bits: u32, threads: usize) {
     }
 
     let mut wb = Vec::new();
-    for (batch_no, chunk) in stream.chunks(1023).enumerate() {
+    for (batch_no, chunk) in stream.chunks(batch_lines).enumerate() {
         batch.begin_batch();
         for &(ctx, line, kind, tag) in chunk {
             batch.enqueue(ctx, line, kind, tag);
@@ -247,21 +249,28 @@ fn compare_scalar_vs_batch(seed: u64, shard_bits: u32, threads: usize) {
     }
 }
 
+/// Lines per batch for the threaded cases. `ShardedHierarchy::resolve`
+/// spawns workers only for batches of at least 8192 lines (its
+/// `PARALLEL_MIN_LINES`) and resolves smaller ones inline at any thread
+/// count; 10 000 cuts the 30 000-access stream into three batches that
+/// all clear it.
+const THREADED_BATCH: usize = 10_000;
+
 #[test]
 fn batch_pipeline_matches_scalar_sequential() {
-    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 1);
+    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 1, 1023);
 }
 
 #[test]
 fn batch_pipeline_matches_scalar_parallel() {
-    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 4);
+    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 4, THREADED_BATCH);
 }
 
 #[test]
 fn batch_pipeline_matches_scalar_single_shard() {
     // One shard degenerates to the monolithic layout internally; the
     // pipeline mechanics (queueing, outcome cursors) must still be exact.
-    compare_scalar_vs_batch(77, 0, 2);
+    compare_scalar_vs_batch(77, 0, 2, 1023);
 }
 
 /// Runs `stream` through a fresh sharded pipeline, split into batches by

@@ -1,7 +1,6 @@
 //! Memory access records: what a core issues to the memory hierarchy.
 
 use crate::addr::Addr;
-use crate::error::{HemuError, Result};
 use std::fmt;
 
 /// Which implementation of the machine's access hot path to run.
@@ -22,27 +21,11 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
-    /// Stable lower-case name used in flags and bench results.
+    /// Stable lower-case name.
     pub const fn name(self) -> &'static str {
         match self {
             AccessPath::Scalar => "scalar",
             AccessPath::Batched => "batched",
-        }
-    }
-
-    /// Parses a `--access-path` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HemuError::InvalidConfig`] for anything but `scalar` or
-    /// `batched`.
-    pub fn parse(s: &str) -> Result<AccessPath> {
-        match s.trim() {
-            "scalar" => Ok(AccessPath::Scalar),
-            "batched" => Ok(AccessPath::Batched),
-            other => Err(HemuError::InvalidConfig(format!(
-                "unknown access path `{other}` (expected scalar or batched)"
-            ))),
         }
     }
 }
@@ -73,27 +56,11 @@ pub enum SubmitMode {
 }
 
 impl SubmitMode {
-    /// Stable lower-case name used in flags and bench results.
+    /// Stable lower-case name, as recorded in benchmark configs.
     pub const fn name(self) -> &'static str {
         match self {
             SubmitMode::Deferred => "deferred",
             SubmitMode::Scalar => "scalar",
-        }
-    }
-
-    /// Parses a `--submit` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HemuError::InvalidConfig`] for anything but `deferred` or
-    /// `scalar`.
-    pub fn parse(s: &str) -> Result<SubmitMode> {
-        match s.trim() {
-            "deferred" => Ok(SubmitMode::Deferred),
-            "scalar" => Ok(SubmitMode::Scalar),
-            other => Err(HemuError::InvalidConfig(format!(
-                "unknown submit mode `{other}` (expected deferred or scalar)"
-            ))),
         }
     }
 }

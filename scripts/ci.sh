@@ -53,26 +53,13 @@ grep -q '"name":"os_epoch"' "$smoke_dir/timeline.json"
 head -1 "$smoke_dir/heatmap.csv" | grep -q '^key,frame,writes,lines_touched,max_line_writes$'
 grep -q '"provenance":{"pcm":{"by_cause":{"mutator":' "$smoke_dir/prof/runs.json"
 
-echo "== access-path smoke: batched pipeline artifacts match the scalar engine =="
-./target/release/repro fig3 --scale quick --access-path scalar \
-  --json-out "$smoke_dir/ap-scalar"
-./target/release/repro fig3 --scale quick --access-path batched \
-  --json-out "$smoke_dir/ap-batched"
-diff -r "$smoke_dir/ap-scalar" "$smoke_dir/ap-batched"
-
-echo "== parallel smoke: intra-threads {1,2,4} x --jobs {1,4} artifacts are byte-identical =="
-./target/release/repro fig3 --scale quick --jobs 1 --intra-threads 1 \
-  --json-out "$smoke_dir/j1-t1" --trace-out "$smoke_dir/j1-t1-trace.jsonl"
+echo "== parallel smoke: --jobs 1 and 4 artifacts and traces are byte-identical =="
 for jobs in 1 4; do
-  for intra in 1 2 4; do
-    [ "$jobs$intra" = "11" ] && continue
-    ./target/release/repro fig3 --scale quick --jobs "$jobs" --intra-threads "$intra" \
-      --json-out "$smoke_dir/j$jobs-t$intra" \
-      --trace-out "$smoke_dir/j$jobs-t$intra-trace.jsonl"
-    diff -r "$smoke_dir/j1-t1" "$smoke_dir/j$jobs-t$intra"
-    diff "$smoke_dir/j1-t1-trace.jsonl" "$smoke_dir/j$jobs-t$intra-trace.jsonl"
-  done
+  ./target/release/repro fig3 --scale quick --jobs "$jobs" \
+    --json-out "$smoke_dir/j$jobs" --trace-out "$smoke_dir/j$jobs-trace.jsonl"
 done
+diff -r "$smoke_dir/j1" "$smoke_dir/j4"
+diff "$smoke_dir/j1-trace.jsonl" "$smoke_dir/j4-trace.jsonl"
 
 echo "== chaos smoke: killed sweep resumes byte-identical (jobs 1 and 4) =="
 ./target/release/repro smoke --scale quick --jobs 2 --json-out "$smoke_dir/chaos-ref"
@@ -93,29 +80,14 @@ echo "== torn-write gate: export code writes final artifacts only atomically =="
 # Final artifacts must go through hemu_obs::write_atomic; a direct
 # fs::write/File::create in export code is a torn-write hazard. Test
 # modules (after #[cfg(test)], always last in these files) are exempt.
-for f in crates/bench/src/harness.rs crates/bench/src/perf.rs \
-         crates/bench/src/bin/repro.rs crates/bench/src/executor.rs \
-         crates/obs/src/journal.rs crates/obs/src/artifact.rs; do
+for f in crates/bench/src/harness.rs crates/bench/src/bin/repro.rs \
+         crates/bench/src/executor.rs crates/obs/src/journal.rs \
+         crates/obs/src/artifact.rs; do
   if ! awk '/#\[cfg\(test\)\]/{exit} /fs::write\(|File::create\(/{bad=1; print FILENAME": "$0} END{exit bad}' "$f"; then
     echo "direct file write in export code ($f); use hemu_obs::write_atomic" >&2
     exit 1
   fi
 done
-
-echo "== submission smoke: deferred and scalar artifacts are byte-identical =="
-for jobs in 1 4; do
-  ./target/release/repro smoke --scale quick --jobs "$jobs" --submit scalar \
-    --json-out "$smoke_dir/sub-scalar-j$jobs"
-  ./target/release/repro smoke --scale quick --jobs "$jobs" --submit deferred \
-    --json-out "$smoke_dir/sub-deferred-j$jobs"
-  diff -r "$smoke_dir/sub-scalar-j$jobs" "$smoke_dir/sub-deferred-j$jobs"
-done
-# Deferral must also fall back cleanly when a fault plan is active.
-./target/release/repro fig3 --scale quick --faults smoke --submit scalar \
-  --run-deadline 300 --json-out "$smoke_dir/sub-scalar-faulted"
-./target/release/repro fig3 --scale quick --faults smoke --submit deferred \
-  --run-deadline 300 --json-out "$smoke_dir/sub-deferred-faulted"
-diff -r "$smoke_dir/sub-scalar-faulted" "$smoke_dir/sub-deferred-faulted"
 
 echo "== consolidation smoke: 2-tenant sweep with complete per-tenant attribution =="
 ./target/release/repro consolidate --scale quick --tenants 2 --jobs 2 \
@@ -132,7 +104,8 @@ fi
 
 echo "== science pin: perfbench verifies every gated run at seed 42 (fingerprints included) =="
 # perfbench checks each run's RunReport against perfbench/fingerprints.json
-# at seed 42; its final JSON line counts the runs that missed.
+# at seed 42; its final JSON line counts the runs that missed and carries
+# the end-to-end metrics, so this step also drives the benchmark through.
 for workload in dacapo-gc shared-machine; do
   line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)"
@@ -140,13 +113,10 @@ for workload in dacapo-gc shared-machine; do
     echo "perfbench $workload: runs failed verification: $line" >&2
     exit 1
   fi
+  if ! grep -q '"runs_per_s"' <<< "$line"; then
+    echo "perfbench $workload: no runs_per_s in the result: $line" >&2
+    exit 1
+  fi
 done
-
-echo "== perf gate: kernel + smoke-sweep throughput within 20% of the checked-in baseline =="
-./target/release/repro --bench --jobs 4 --bench-out "$smoke_dir/bench.json" \
-  --bench-baseline BENCH_results.json
-grep -q '"schema":"hemu-bench-results/4"' "$smoke_dir/bench.json"
-grep -q '"tenants":2' "$smoke_dir/bench.json"
-grep -q '"runs_per_sec"' "$smoke_dir/bench.json"
 
 echo "CI OK"
