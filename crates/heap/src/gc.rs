@@ -7,10 +7,10 @@
 //! KG-W−MDO experiment can observe collector marking writes landing on PCM.
 
 use crate::heap::ManagedHeap;
-use crate::object::{ObjectId, SpaceKind, HEADER_SIZE, LARGE_THRESHOLD};
+use crate::object::{ObjectId, ObjectTable, SpaceKind, HEADER_SIZE, LARGE_THRESHOLD};
 use hemu_machine::Machine;
 use hemu_obs::{GcKind, TraceEvent};
-use hemu_types::{Cycles, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD};
+use hemu_types::{Addr, Cycles, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD};
 
 /// Stamps the start of a collection pause: emits a [`TraceEvent::GcStart`]
 /// and returns the pause's start time on the collecting context's clock.
@@ -59,23 +59,20 @@ fn pause_end(heap: &mut ManagedHeap, machine: &Machine, kind: GcKind, t0: Cycles
 /// stale reference would fault. Pure collector bookkeeping — the mutator's
 /// barrier already paid for these entries when the refs were stored.
 fn rebuild_remsets(heap: &mut ManagedHeap) {
-    let candidates: Vec<ObjectId> = heap.table.iter_live().collect();
-    for src in candidates {
-        let (space, logged, refs) = {
-            let i = heap.table.get(src);
-            (i.space, i.logged, i.refs.clone())
-        };
-        if space.is_young() || logged {
-            continue;
-        }
-        let has_young_ref = refs
-            .into_iter()
-            .flatten()
-            .any(|t| heap.table.is_live(t) && heap.table.get(t).space.is_young());
-        if has_young_ref {
-            heap.table.get_mut(src).logged = true;
-            heap.remset_old.push(src);
-        }
+    let table = &heap.table;
+    let from = heap.remset_old.len();
+    heap.remset_old.extend(table.iter_live().filter(|&src| {
+        let i = table.get(src);
+        !i.space.is_young()
+            && !i.logged
+            && table
+                .refs(src)
+                .iter()
+                .flatten()
+                .any(|&t| table.is_live(t) && table.get(t).space.is_young())
+    }));
+    for &src in &heap.remset_old[from..] {
+        heap.table.get_mut(src).logged = true;
     }
 }
 
@@ -179,30 +176,34 @@ fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: D
         // Entering the observer (re)starts write observation; leaving any
         // young space ends it.
         info.written = false;
-        info.meta.is_none() && !space.is_young()
+        info.meta == Addr::NULL && !space.is_young()
     };
     if needs_meta {
         let slot = heap.meta_slot_for(machine, space)?;
-        heap.table.get_mut(id).meta = Some(slot);
+        heap.table.get_mut(id).meta = slot;
     }
     Ok(())
 }
 
 /// Scans an object's header and reference slots (collector read traffic)
-/// and returns its outgoing references.
-fn scan(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId) -> Result<Vec<ObjectId>> {
-    let (addr, size, ref_count, refs) = {
-        let info = heap.table.get(id);
-        (info.addr, info.size, info.ref_count, info.refs.clone())
-    };
+/// and replaces the contents of `out` with its outgoing references.
+fn scan(
+    heap: &ManagedHeap,
+    machine: &mut Machine,
+    id: ObjectId,
+    out: &mut Vec<ObjectId>,
+) -> Result<()> {
+    let info = heap.table.get(id);
     machine.submit(
         heap.ctx,
         heap.proc,
-        MemoryAccess::read(addr, scan_bytes(size, ref_count)),
+        MemoryAccess::read(info.addr, scan_bytes(info.size, info.ref_count)),
     )?;
     // Per-object trace work: type lookup and reference-map decoding.
-    machine.compute(heap.ctx, Cycles::new(30 + 4 * ref_count as u64));
-    Ok(refs.into_iter().flatten().collect())
+    machine.compute(heap.ctx, Cycles::new(30 + 4 * info.ref_count as u64));
+    out.clear();
+    out.extend(heap.table.refs(id).iter().flatten());
+    Ok(())
 }
 
 /// A minor collection: evacuates the nursery (and, when it is full, the
@@ -252,11 +253,12 @@ pub(crate) fn minor_gc(
     // --- Mark ---
     let mut gray: Vec<ObjectId> = Vec::new();
     let mut survivors: Vec<ObjectId> = Vec::new();
-    let mark = |heap: &mut ManagedHeap,
+    let mut refs: Vec<ObjectId> = Vec::new();
+    let mark = |table: &mut ObjectTable,
                 id: ObjectId,
                 gray: &mut Vec<ObjectId>,
                 survivors: &mut Vec<ObjectId>| {
-        let info = heap.table.get_mut(id);
+        let info = table.get_mut(id);
         if in_evacuated(info.space) && !info.marked {
             info.marked = true;
             gray.push(id);
@@ -264,23 +266,23 @@ pub(crate) fn minor_gc(
         }
     };
 
-    for root in heap.roots.clone().into_iter().flatten() {
-        mark(heap, root, &mut gray, &mut survivors);
+    for &root in heap.roots.iter().flatten() {
+        mark(&mut heap.table, root, &mut gray, &mut survivors);
     }
     // Remembered sets: re-scan each remembered source object.
-    let mut remembered: Vec<ObjectId> = heap.remset_old.clone();
-    remembered.extend(heap.remset_obs.iter().copied());
-    for src in remembered {
+    for &src in heap.remset_old.iter().chain(&heap.remset_obs) {
         if !heap.table.is_live(src) || in_evacuated(heap.table.get(src).space) {
             continue;
         }
-        for t in scan(heap, machine, src)? {
-            mark(heap, t, &mut gray, &mut survivors);
+        scan(heap, machine, src, &mut refs)?;
+        for &t in &refs {
+            mark(&mut heap.table, t, &mut gray, &mut survivors);
         }
     }
     while let Some(o) = gray.pop() {
-        for t in scan(heap, machine, o)? {
-            mark(heap, t, &mut gray, &mut survivors);
+        scan(heap, machine, o, &mut refs)?;
+        for &t in &refs {
+            mark(&mut heap.table, t, &mut gray, &mut survivors);
         }
     }
     spans.end(machine.clock(heap.ctx).now());
@@ -320,31 +322,24 @@ pub(crate) fn minor_gc(
     spans.begin("sweep", "gc", machine.clock(heap.ctx).now());
 
     // --- Sweep the evacuated spaces ---
-    let dead: Vec<ObjectId> = heap
-        .table
-        .iter_live()
-        .filter(|&id| {
-            let i = heap.table.get(id);
-            in_evacuated(i.space) && !i.marked
-        })
-        .collect();
-    for d in dead {
-        heap.table.remove(d);
-    }
+    // Only young objects can be in an evacuated space; the young list
+    // holds all of them.
+    heap.table
+        .sweep_young(|i| in_evacuated(i.space) && !i.marked);
     heap.nursery.reset();
     for &id in &survivors {
         heap.table.get_mut(id).marked = false;
     }
 
     // --- Remembered set maintenance ---
-    for &src in &heap.remset_obs.clone() {
+    for &src in &heap.remset_obs {
         if heap.table.is_live(src) {
             heap.table.get_mut(src).logged = false;
         }
     }
     heap.remset_obs.clear();
     if collect_observer {
-        for &src in &heap.remset_old.clone() {
+        for &src in &heap.remset_old {
             if heap.table.is_live(src) {
                 heap.table.get_mut(src).logged = false;
             }
@@ -381,11 +376,12 @@ pub(crate) fn full_gc(
     // --- Mark the whole graph ---
     let mut gray: Vec<ObjectId> = Vec::new();
     let mut live: Vec<ObjectId> = Vec::new();
-    let mark = |heap: &mut ManagedHeap,
+    let mut refs: Vec<ObjectId> = Vec::new();
+    let mark = |table: &mut ObjectTable,
                 id: ObjectId,
                 gray: &mut Vec<ObjectId>,
                 live: &mut Vec<ObjectId>| {
-        let info = heap.table.get_mut(id);
+        let info = table.get_mut(id);
         if !info.marked {
             info.marked = true;
             gray.push(id);
@@ -397,12 +393,13 @@ pub(crate) fn full_gc(
         .iter_live()
         .filter(|&id| heap.table.get(id).space == SpaceKind::Boot)
         .collect();
-    for root in heap.roots.clone().into_iter().flatten().chain(boot_roots) {
-        mark(heap, root, &mut gray, &mut live);
+    for root in heap.roots.iter().flatten().copied().chain(boot_roots) {
+        mark(&mut heap.table, root, &mut gray, &mut live);
     }
     while let Some(o) = gray.pop() {
-        for t in scan(heap, machine, o)? {
-            mark(heap, t, &mut gray, &mut live);
+        scan(heap, machine, o, &mut refs)?;
+        for &t in &refs {
+            mark(&mut heap.table, t, &mut gray, &mut live);
         }
     }
 
@@ -421,9 +418,9 @@ pub(crate) fn full_gc(
             | SpaceKind::MaturePcm
             | SpaceKind::LargeDram
             | SpaceKind::LargePcm => {
-                let slot = meta.expect("mature object without a metadata slot");
+                assert_ne!(meta, Addr::NULL, "mature object without a metadata slot");
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Meta));
-                machine.submit(heap.ctx, heap.proc, MemoryAccess::write(slot, 1))?;
+                machine.submit(heap.ctx, heap.proc, MemoryAccess::write(meta, 1))?;
             }
             _ => {
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, space.tag()));
@@ -533,6 +530,7 @@ pub(crate) fn full_gc(
         }
     }
     heap.nursery.reset();
+    heap.table.prune_young();
 
     // --- Clear marks, logged bits, remembered sets ---
     for &id in &live {

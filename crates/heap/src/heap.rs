@@ -78,6 +78,9 @@ pub struct ManagedHeap {
     pub(crate) remset_cursor: u64,
     pub(crate) roots: Vec<Option<ObjectId>>,
     free_root_slots: Vec<usize>,
+    /// `root_free[i]`: slot `i` is on `free_root_slots`. A `None` in
+    /// `roots` cannot tell, because a live slot may hold `None` too.
+    root_free: Vec<bool>,
     boot_cursor: Addr,
     /// Minor collections since the last full-heap collection (full-GC
     /// scheduling cooldown).
@@ -163,6 +166,7 @@ impl ManagedHeap {
             remset_cursor: 0,
             roots: Vec::new(),
             free_root_slots: Vec::new(),
+            root_free: Vec::new(),
             boot_cursor: layout::BOOT_START,
             minor_since_full: 0,
             stats: GcStats::default(),
@@ -261,7 +265,7 @@ impl ManagedHeap {
         let mut info = ObjectInfo::fresh(addr, size, ref_count, space);
         if space.is_large() {
             // Objects born in a mature/large space need their mark slot now.
-            info.meta = Some(self.meta_slot_for(machine, space)?);
+            info.meta = self.meta_slot_for(machine, space)?;
         }
         Ok(self.table.insert(info))
     }
@@ -448,7 +452,7 @@ impl ManagedHeap {
             self.barrier_fast.incr();
         }
 
-        self.table.get_mut(src).refs[slot] = target;
+        self.table.refs_mut(src)[slot] = target;
         Ok(())
     }
 
@@ -473,7 +477,7 @@ impl ManagedHeap {
                 slot < info.ref_count as usize,
                 "ref slot {slot} out of range"
             );
-            (info.ref_slot_addr(slot), info.refs[slot])
+            (info.ref_slot_addr(slot), self.table.refs(src)[slot])
         };
         machine.submit(self.ctx, self.proc, MemoryAccess::read(addr, WORD as u32))?;
         Ok(value)
@@ -570,9 +574,11 @@ impl ManagedHeap {
     pub fn new_root(&mut self, value: Option<ObjectId>) -> RootSlot {
         if let Some(i) = self.free_root_slots.pop() {
             self.roots[i] = value;
+            self.root_free[i] = false;
             RootSlot(i)
         } else {
             self.roots.push(value);
+            self.root_free.push(false);
             RootSlot(self.roots.len() - 1)
         }
     }
@@ -588,7 +594,18 @@ impl ManagedHeap {
     }
 
     /// Releases a root slot (its referent becomes collectable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is already released: a second release would put
+    /// it on the free list twice, and two later roots would share it.
     pub fn drop_root(&mut self, slot: RootSlot) {
+        assert!(
+            !self.root_free[slot.0],
+            "double drop of root slot {}",
+            slot.0
+        );
+        self.root_free[slot.0] = true;
         self.roots[slot.0] = None;
         self.free_root_slots.push(slot.0);
     }

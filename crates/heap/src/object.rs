@@ -109,18 +109,26 @@ impl SpaceKind {
 }
 
 /// Everything the runtime knows about one object.
-#[derive(Debug, Clone)]
+///
+/// A small `Copy` record: the object's reference fields live in the
+/// [`ObjectTable`]'s slab (see [`ObjectTable::refs`]), so creating and
+/// freeing a record never touches the host allocator.
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectInfo {
     /// Current virtual address of the header.
     pub addr: Addr,
+    /// Address of the object's one-byte GC mark slot in a metadata space,
+    /// assigned on promotion into a mature or large space; [`Addr::NULL`]
+    /// until then (metadata chunks never start at address 0).
+    pub meta: Addr,
     /// Total size in bytes (header + reference slots + data payload).
     pub size: u32,
+    /// First entry of the object's reference fields in the table's slab.
+    refs_at: u32,
     /// Number of reference slots.
     pub ref_count: u16,
     /// Space the object currently lives in.
     pub space: SpaceKind,
-    /// Reference fields (indices into the object table).
-    pub refs: Vec<Option<ObjectId>>,
     /// Set when the mutator writes the object while it is being observed
     /// (KG-W write monitoring), or while it lives in PCM large space.
     pub written: bool,
@@ -129,32 +137,32 @@ pub struct ObjectInfo {
     /// Set when the object is registered in a remembered set (write
     /// barrier dedup).
     pub logged: bool,
-    /// Address of the object's one-byte GC mark slot in a metadata space
-    /// (assigned on promotion into a mature or large space).
-    pub meta: Option<Addr>,
-    /// Slot generation for use-after-free detection in debug builds.
+    /// `true` while the table slot holds a live object; cleared when the
+    /// collector frees it.
     pub alive: bool,
 }
+
+// The table scans these records on every collection; keep them to half a
+// host cache line.
+const _: () = assert!(std::mem::size_of::<ObjectInfo>() <= 32);
 
 impl ObjectInfo {
     /// Creates a fresh object record at `addr` in `space`.
     pub fn fresh(addr: Addr, size: u32, ref_count: usize, space: SpaceKind) -> Self {
         ObjectInfo {
             addr,
+            meta: Addr::NULL,
             size,
+            refs_at: 0,
             ref_count: ref_count as u16,
             space,
-            refs: vec![None; ref_count],
             written: false,
             marked: false,
             logged: false,
-            meta: None,
             alive: true,
         }
     }
-}
 
-impl ObjectInfo {
     /// Address of reference slot `i` (slots follow the header).
     pub fn ref_slot_addr(&self, i: usize) -> Addr {
         self.addr
@@ -181,11 +189,24 @@ pub fn object_size(ref_count: usize, data_bytes: usize) -> u32 {
 }
 
 /// The table of all live objects, with generation-tagged slot recycling.
+///
+/// Records sit in one flat vector and every object's reference fields in
+/// one slab; freed slab ranges are recycled by length, apart from slot
+/// ids, so inserting and removing an object do no host allocation once
+/// the vectors have grown.
+/// The table also keeps the *young list*: the ids of nursery-born objects
+/// that are still young, which is all a minor collection needs to sweep.
 #[derive(Debug, Default)]
 pub struct ObjectTable {
     slots: Vec<ObjectInfo>,
     generations: Vec<u32>,
     free: Vec<u32>,
+    /// Reference fields of every object, each object's a contiguous range.
+    refs: Vec<Option<ObjectId>>,
+    /// `free_refs[n]`: starts of released `n`-entry slab ranges.
+    free_refs: Vec<Vec<u32>>,
+    /// Nursery-born objects not yet promoted out of the young spaces.
+    young: Vec<ObjectId>,
     live_count: usize,
     live_bytes: u64,
 }
@@ -197,21 +218,40 @@ impl ObjectTable {
     }
 
     /// Registers a new object and returns its id.
-    pub fn insert(&mut self, info: ObjectInfo) -> ObjectId {
+    pub fn insert(&mut self, mut info: ObjectInfo) -> ObjectId {
         debug_assert!(info.alive);
         self.live_count += 1;
         self.live_bytes += info.size as u64;
-        if let Some(idx) = self.free.pop() {
+        info.refs_at = self.alloc_refs(info.ref_count as usize);
+        let id = if let Some(idx) = self.free.pop() {
             self.slots[idx as usize] = info;
             ObjectId::new(idx, self.generations[idx as usize])
         } else {
             self.slots.push(info);
             self.generations.push(0);
             ObjectId::new(self.slots.len() as u32 - 1, 0)
+        };
+        if info.space.is_young() {
+            self.young.push(id);
         }
+        id
     }
 
-    /// Removes a dead object, making its slot reusable.
+    /// Hands out a cleared slab range of `n` reference fields.
+    fn alloc_refs(&mut self, n: usize) -> u32 {
+        if n == 0 {
+            return 0;
+        }
+        if let Some(at) = self.free_refs.get_mut(n).and_then(Vec::pop) {
+            self.refs[at as usize..at as usize + n].fill(None);
+            return at;
+        }
+        let at = self.refs.len();
+        self.refs.resize(at + n, None);
+        u32::try_from(at).expect("reference slab exceeds u32 entries")
+    }
+
+    /// Removes a dead object, making its slot and its slab range reusable.
     ///
     /// # Panics
     ///
@@ -226,11 +266,17 @@ impl ObjectTable {
         let slot = &mut self.slots[idx];
         assert!(slot.alive, "double free of {id}");
         slot.alive = false;
-        slot.refs = Vec::new();
+        let (n, at) = (slot.ref_count as usize, slot.refs_at);
         self.live_count -= 1;
         self.live_bytes -= slot.size as u64;
         self.generations[idx] = self.generations[idx].wrapping_add(1);
         self.free.push(idx as u32);
+        if n > 0 {
+            if self.free_refs.len() <= n {
+                self.free_refs.resize_with(n + 1, Vec::new);
+            }
+            self.free_refs[n].push(at);
+        }
     }
 
     /// Immutable access to an object.
@@ -254,6 +300,22 @@ impl ObjectTable {
     pub fn get_mut(&mut self, id: ObjectId) -> &mut ObjectInfo {
         debug_assert!(self.is_live(id), "use of dead or stale object {id}");
         &mut self.slots[id.index()]
+    }
+
+    /// The reference fields of an object.
+    #[inline]
+    pub fn refs(&self, id: ObjectId) -> &[Option<ObjectId>] {
+        let info = self.get(id);
+        let at = info.refs_at as usize;
+        &self.refs[at..at + info.ref_count as usize]
+    }
+
+    /// Mutable access to the reference fields of an object.
+    #[inline]
+    pub fn refs_mut(&mut self, id: ObjectId) -> &mut [Option<ObjectId>] {
+        let info = *self.get(id);
+        let at = info.refs_at as usize;
+        &mut self.refs[at..at + info.ref_count as usize]
     }
 
     /// Returns `true` if `id` currently names a live object (stale handles
@@ -282,8 +344,35 @@ impl ObjectTable {
             .map(|(i, _)| ObjectId::new(i as u32, self.generations[i]))
     }
 
-    /// Adjusts accounted size when an object is resized in place (only used
-    /// by tests; real objects never change size).
+    /// Removes every young object `dead` selects, then forgets the objects
+    /// that are no longer young ([`ObjectTable::prune_young`]).
+    ///
+    /// The dead go in ascending slot order, the order a sweep over
+    /// [`ObjectTable::iter_live`] would free them in, so the free list and
+    /// every later slot assignment match a whole-table sweep.
+    pub fn sweep_young(&mut self, mut dead: impl FnMut(&ObjectInfo) -> bool) {
+        let mut doomed: Vec<ObjectId> = self
+            .young
+            .iter()
+            .copied()
+            .filter(|id| dead(&self.slots[id.index()]))
+            .collect();
+        doomed.sort_unstable_by_key(|id| id.index());
+        for id in doomed {
+            self.remove(id);
+        }
+        self.prune_young();
+    }
+
+    /// Drops dead objects and objects promoted out of the young spaces from
+    /// the young list. Collections call it once they have moved objects.
+    pub fn prune_young(&mut self) {
+        let mut young = std::mem::take(&mut self.young);
+        young.retain(|&id| self.is_live(id) && self.slots[id.index()].space.is_young());
+        self.young = young;
+    }
+
+    /// Number of table slots, live or free.
     #[cfg(test)]
     pub(crate) fn slots_len(&self) -> usize {
         self.slots.len()
@@ -360,6 +449,55 @@ mod tests {
         t.remove(a);
         let live: Vec<_> = t.iter_live().collect();
         assert_eq!(live, vec![b]);
+    }
+
+    #[test]
+    fn slab_ranges_are_recycled_by_length_and_cleared() {
+        let mut t = ObjectTable::new();
+        let a = t.insert(obj(32, 2));
+        let x = t.insert(obj(16, 0));
+        t.refs_mut(a)[1] = Some(x);
+        t.remove(a);
+        let b = t.insert(obj(40, 3));
+        let c = t.insert(obj(32, 2));
+        assert_eq!(t.refs(b), &[None; 3]);
+        assert_eq!(
+            t.refs(c),
+            &[None, None],
+            "a reused range comes back cleared"
+        );
+        assert_eq!(t.refs.len(), 5, "c reuses a's two entries");
+    }
+
+    #[test]
+    fn sweep_young_frees_in_slot_order_and_forgets_promoted_objects() {
+        let mut t = ObjectTable::new();
+        let (_a, _b, c) = (
+            t.insert(obj(16, 0)),
+            t.insert(obj(16, 0)),
+            t.insert(obj(16, 0)),
+        );
+        t.get_mut(c).marked = true;
+        t.sweep_young(|i| !i.marked);
+        t.get_mut(c).marked = false;
+        // Slots 0 and 1 were freed in that order, so 1 is reused first and
+        // the young list now runs c (slot 2), d (slot 1), e (slot 0).
+        let d = t.insert(obj(16, 0));
+        let e = t.insert(obj(16, 0));
+        assert_eq!((d.index(), e.index()), (1, 0));
+        t.sweep_young(|_| true);
+        // Freed in ascending slot order, whatever the list order: slot 2
+        // is on top of the free list.
+        assert_eq!(t.insert(obj(16, 0)).index(), 2);
+
+        // A promoted object leaves the young list and survives later
+        // young sweeps.
+        let f = t.insert(obj(16, 0));
+        t.get_mut(f).space = SpaceKind::MaturePcm;
+        t.prune_young();
+        t.sweep_young(|_| true);
+        assert!(t.is_live(f));
+        assert_eq!(t.live_count(), 1);
     }
 
     #[test]

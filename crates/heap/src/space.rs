@@ -101,23 +101,20 @@ struct Block {
 }
 
 impl Block {
+    /// First line of the lowest run of `lines` free lines, if any.
     fn free_run(&self, lines: u32) -> Option<u32> {
-        debug_assert!(lines as usize <= LINES_PER_BLOCK);
-        if self.used == 0 {
-            return Some(0);
+        debug_assert!(lines >= 1 && lines as usize <= LINES_PER_BLOCK);
+        // Bit `i` of `starts` stays set while lines `i..i + width` are all
+        // free; each step doubles `width` (the last step tops it up), and
+        // the zeros shifted in at the top rule out runs past the block end.
+        let mut starts = !self.used;
+        let mut width = 1;
+        while width < lines {
+            let step = width.min(lines - width);
+            starts &= starts >> step;
+            width += step;
         }
-        let mut run = 0u32;
-        for i in 0..LINES_PER_BLOCK as u32 {
-            if self.used >> i & 1 == 0 {
-                run += 1;
-                if run == lines {
-                    return Some(i + 1 - lines);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
+        (starts != 0).then(|| starts.trailing_zeros())
     }
 
     fn mark_lines(&mut self, first: u32, lines: u32) {
@@ -194,19 +191,12 @@ impl ImmixSpace {
         }
         let lines = size.div_ceil(LINE_SIZE as u32);
         // First-fit from the cursor; most allocations hit the current block.
-        for pass in 0..2 {
-            let range: Box<dyn Iterator<Item = usize>> = if pass == 0 {
-                Box::new(self.cursor..self.blocks.len())
-            } else {
-                Box::new(0..self.cursor)
-            };
-            for bi in range {
-                if let Some(first) = self.blocks[bi].free_run(lines) {
-                    self.blocks[bi].mark_lines(first, lines);
-                    self.used_lines += lines as u64;
-                    self.cursor = bi;
-                    return Ok(self.blocks[bi].base.offset(first as u64 * LINE_SIZE as u64));
-                }
+        for bi in (self.cursor..self.blocks.len()).chain(0..self.cursor) {
+            if let Some(first) = self.blocks[bi].free_run(lines) {
+                self.blocks[bi].mark_lines(first, lines);
+                self.used_lines += lines as u64;
+                self.cursor = bi;
+                return Ok(self.blocks[bi].base.offset(first as u64 * LINE_SIZE as u64));
             }
         }
         // No room: grow by one chunk.
@@ -522,6 +512,59 @@ mod tests {
             .unwrap();
         let b = s.alloc(&mut m, &mut cm, 2 * LINE_SIZE as u32).unwrap();
         assert_eq!((b.raw() - a.raw()) % BLOCK_SIZE as u64, 0);
+    }
+
+    /// The line-by-line first-fit search `Block::free_run` replaced.
+    fn free_run_by_lines(used: u128, lines: u32) -> Option<u32> {
+        let mut run = 0u32;
+        for i in 0..LINES_PER_BLOCK as u32 {
+            if used >> i & 1 == 0 {
+                run += 1;
+                if run == lines {
+                    return Some(i + 1 - lines);
+                }
+            } else {
+                run = 0;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn free_run_matches_the_line_by_line_search() {
+        let mut rng = hemu_types::DeterministicRng::seeded(0x1111_7000);
+        let mut masks = vec![
+            0u128,
+            u128::MAX,
+            1,
+            1 << 127,
+            u128::MAX >> 1,
+            u128::MAX << 1,
+        ];
+        for density in [0.005, 0.02, 0.1, 0.3, 0.6, 0.9] {
+            for _ in 0..200 {
+                let mut used = 0u128;
+                for i in 0..LINES_PER_BLOCK {
+                    if rng.chance(density) {
+                        used |= 1 << i;
+                    }
+                }
+                masks.push(used);
+            }
+        }
+        for &used in &masks {
+            let block = Block {
+                base: Addr::NULL,
+                used,
+            };
+            for lines in 1..=LINES_PER_BLOCK as u32 {
+                assert_eq!(
+                    block.free_run(lines),
+                    free_run_by_lines(used, lines),
+                    "used {used:#034x}, {lines} lines"
+                );
+            }
+        }
     }
 
     #[test]

@@ -216,6 +216,34 @@ fn boot_objects_are_permanent_roots() {
     assert!(heap.is_live(child), "objects referenced from boot survive");
 }
 
+/// A second release of one root slot would put it on the free list twice,
+/// so the next two roots would share it and the first one's object would
+/// die at the next collection.
+#[test]
+#[should_panic(expected = "double drop of root slot 0")]
+fn dropping_a_root_twice_panics() {
+    let (mut m, mut heap) = setup(CollectorKind::KgN);
+    let o = heap.alloc(&mut m, 0, 8).unwrap();
+    let r = heap.new_root(Some(o));
+    heap.drop_root(r);
+    heap.drop_root(r);
+}
+
+/// A released slot is reused by one later root, which can be released in
+/// turn.
+#[test]
+fn released_root_slots_are_reused_once() {
+    let (_m, mut heap) = setup(CollectorKind::KgN);
+    let r = heap.new_root(None);
+    heap.drop_root(r);
+    let a = heap.new_root(None);
+    let b = heap.new_root(None);
+    assert_eq!(a, r, "the released slot is reused");
+    assert_ne!(a, b, "but only by one root");
+    heap.drop_root(a);
+    heap.drop_root(b);
+}
+
 /// The paper's headline ordering (Table II / Fig. 7): PCM-Only writes the
 /// most to PCM; KG-N cuts nursery writes; KG-W cuts survivor writes too.
 #[test]

@@ -10,6 +10,11 @@ cargo build --workspace --release --offline
 echo "== test (offline) =="
 cargo test --workspace -q --offline
 
+echo "== bench build: the quick microbench compiles (offline) =="
+# `cargo test` skips `harness = false` benches and the release build skips
+# benches, so nothing else compiles crates/bench/benches/quick.rs.
+cargo bench -p hemu-bench --no-run --offline
+
 echo "== fmt check =="
 cargo fmt --all --check
 
